@@ -160,7 +160,8 @@
 // the compiler elides every bounds check, tiles sized to an L1 working set
 // — dispatched across a bounded goroutine pool capped at GOMAXPROCS.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
-// runs fully sequential); farm streams set StreamConfig.KernelWorkers:
+// runs every tile on the calling goroutine); farm streams set
+// StreamConfig.KernelWorkers:
 //
 //	fuser, err := zynqfusion.New(zynqfusion.Options{
 //		Engine:        zynqfusion.EngineNEON,
@@ -173,28 +174,18 @@
 // accumulation order, so fused pixels, StageTimes, energy and the NEON
 // instruction ledger are bit-for-bit identical at every setting.
 //
-// Options.KernelFusion additionally turns on the operator-fusion pass:
-// the vis and ir forward transforms run as one dual-stream traversal
-// (shared row passes, blocked column gathers covering both streams), the
-// complex conversion + fusion rule + inverse conversion run per tile
-// directly on quad-layout subbands so the per-level complex band planes
-// are never materialized, and the synthesis columns move through the
-// same cache-line-sized blocks:
-//
-//	fuser, err := zynqfusion.New(zynqfusion.Options{
-//		Engine:       zynqfusion.EngineNEON,
-//		KernelFusion: true,
-//	})
-//
-// A per-(size, levels, engine, workers) fusion plan decides legality and
-// profitability — configurations whose accounting cannot interleave (the
-// emulated NEON unit, non-tiled engines, tiny frames) are vetoed and
-// fall back to the unfused tiled path; plans are cached on the fuser.
-// Fuser.FusionStats reports frames fused, planes elided and bytes saved,
-// and the same counters export as the kernel_fused_* Prometheus
-// families. The fused path preserves the determinism contract above
-// bit-for-bit at every worker count and fusion setting. The wall-clock
-// record against the scalar and tiled baselines is generated by:
+// The tile-capable engines (ARM, fast NEON) run one fast data path at
+// every worker count and frame size. On the sequential executor the vis
+// and ir forward transforms run as one dual-stream traversal (shared row
+// passes, blocked column gathers covering both streams), the complex
+// conversion + fusion rule + inverse conversion run per tile directly on
+// quad-layout subbands for the built-in rules, so the per-level complex
+// band planes are never materialized, and the synthesis columns move
+// through the same cache-line-sized blocks; the pipelined executor's
+// stations run the same tile tasks one stream at a time. The sequential
+// loops stay as the reference: the emulated NEON, FPGA and adaptive
+// engines run them, and the fast path matches them bit for bit. The
+// wall-clock record against the scalar baseline is generated by:
 //
 //	go run ./cmd/fusionbench -exp kernel-speedup
 //

@@ -154,7 +154,7 @@ func All() []Experiment {
 		{ID: "mem-steadystate", Title: "Extension — zero-copy frame stores: allocs/frame, GC and arena footprint, 1-64 streams",
 			Run:  RunMemSteadyState,
 			JSON: func() (any, error) { return MemSteadyState() }},
-		{ID: "kernel-speedup", Title: "Extension — tiled multi-core kernel engine vs scalar baseline: wall-clock, outputs pinned",
+		{ID: "kernel-speedup", Title: "Extension — fast data path (tiled, operator-fused kernels) vs scalar baseline: wall-clock, outputs pinned",
 			Run:  RunKernelSpeedup,
 			JSON: func() (any, error) { return KernelSpeedup() }},
 		{ID: "fleet-scale", Title: "Extension — fleet scaling: 64-1024 streams over 8 boards, placement imbalance, migration cost",

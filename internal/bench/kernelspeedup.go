@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"zynqfusion/internal/engine"
@@ -12,43 +14,49 @@ import (
 	"zynqfusion/internal/pipeline"
 )
 
-// KernelSpeedupCell is one wall-clock comparison of the tiled multi-worker
-// kernel engine against the scalar baseline (the NEON engine pinned to its
-// emulated per-instruction unit, the pre-kernel-engine execution path) on
-// the same frame sequence, plus the operator-fusion pass against the tiled
-// engine it builds on. The modeled platform must be oblivious to the
-// host-side execution strategy, so the cell also records whether the fused
-// pixels and the accumulated modeled StageTimes (energy included) matched
-// bit for bit — for fusion, across both a single-worker and a full-width
-// run.
+// KernelSpeedupCell is one wall-clock comparison of the fast data path
+// (the tiled, operator-fused cascade at workers = host cores) against the
+// scalar baseline (the NEON engine pinned to its emulated per-instruction
+// unit, which runs the sequential reference loops) on the same frame
+// sequence. The modeled platform must be oblivious to the host-side
+// execution strategy, so the cell also records whether the fused pixels
+// and the accumulated modeled StageTimes (energy included) of fast runs at
+// workers 1 and N both matched the scalar run bit for bit.
 type KernelSpeedupCell struct {
 	Size            string  `json:"size"`
 	Frames          int     `json:"frames"`
-	Workers         int     `json:"workers"` // tiled run's pool size (= host cores)
+	Workers         int     `json:"workers"` // fast run's pool size (= host cores)
 	ScalarWallMS    float64 `json:"scalar_wall_ms"`
-	TiledWallMS     float64 `json:"tiled_wall_ms"`
-	Speedup         float64 `json:"speedup"`
+	FastWallMS      float64 `json:"fast_wall_ms"`
+	Speedup         float64 `json:"speedup"` // scalar over fast
 	PixelsIdentical bool    `json:"pixels_identical"`
 	StagesIdentical bool    `json:"stages_identical"`
-
-	// Operator-fusion columns: the fused run reuses the tiled engine and
-	// worker pool, so FusedOverTiled isolates what the fusion pass itself
-	// buys. The identity booleans AND the workers=1 and workers=N fused
-	// runs against the unfused tiled reference.
-	FusedWallMS          float64 `json:"fused_wall_ms"`
-	FusedOverTiled       float64 `json:"fused_over_tiled"`
-	FusedPixelsIdentical bool    `json:"fused_pixels_identical"`
-	FusedStagesIdentical bool    `json:"fused_stages_identical"`
-	FusedPlanesElided    int64   `json:"fused_planes_elided"`
-	FusedBytesSaved      int64   `json:"fused_bytes_saved"`
 }
 
 // KernelSpeedupResult is the kernel-speedup experiment's structured record.
 type KernelSpeedupResult struct {
 	Schema     string              `json:"schema"`
 	Experiment string              `json:"experiment"`
+	Host       string              `json:"host"`  // CPU model, OS/arch and Go version
 	Cores      int                 `json:"cores"` // GOMAXPROCS during the run
 	Cells      []KernelSpeedupCell `json:"cells"`
+}
+
+// hostClass names the machine a wall-clock record was measured on: the
+// CPU model where the OS reports one, the logical CPU count, OS/arch and
+// the Go toolchain.
+func hostClass() string {
+	cpu := "unknown CPU"
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				cpu = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s (%d logical CPUs), %s/%s, %s",
+		cpu, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH, runtime.Version())
 }
 
 // kernelSpeedupAxes returns the (size, frames) grid, trimmed in Short mode.
@@ -68,11 +76,9 @@ func kernelSpeedupAxes() []struct {
 	}{{Size{320, 180}, 8}, {Size{1920, 1080}, 3}}
 }
 
-// speedupReps is how many interleaved timing rounds the tiled-vs-fused
-// comparison runs. Alternating the two variants round-robin and keeping
-// each one's fastest round cancels the slow drift of a shared or noisy
-// host, which a single back-to-back measurement folds straight into the
-// ratio.
+// speedupReps is how many timing rounds the fast path runs. Keeping the
+// fastest round tracks the code's cost on a shared or noisy host, whose
+// slow drift a single measurement folds straight into the ratio.
 const speedupReps = 7
 
 // kernelVariant is one warmed pipeline configuration under measurement.
@@ -83,15 +89,15 @@ type kernelVariant struct {
 
 // newKernelVariant builds and warms one NEON pipeline at s. emulated
 // selects the scalar baseline unit; workers sizes the kernel pool
-// (0 = GOMAXPROCS); fused enables the operator-fusion pass.
-func newKernelVariant(s Size, emulated, fused bool, workers int) (*kernelVariant, error) {
+// (0 = GOMAXPROCS).
+func newKernelVariant(s Size, emulated bool, workers int) (*kernelVariant, error) {
 	var eng engine.Engine
 	if emulated {
 		eng = engine.NewNEONEmulated(false)
 	} else {
 		eng = engine.NewNEON(false)
 	}
-	fu := pipeline.New(eng, pipeline.Config{IncludeIO: true, KernelWorkers: workers, KernelFusion: fused})
+	fu := pipeline.New(eng, pipeline.Config{IncludeIO: true, KernelWorkers: workers})
 	v := &kernelVariant{fu: fu}
 	v.vis, v.ir = SourcePair(s)
 	warm, _, err := fu.FuseFrames(v.vis, v.ir) // lease planes, spawn workers
@@ -151,14 +157,12 @@ func samePixels(a, b *frame.Frame) bool {
 	return true
 }
 
-// MeasureKernelSpeedupCell runs the scalar baseline, the tiled engine at
-// workers = host cores, and the operator-fused engine at workers 1 and N
-// over the same frames, and compares their outputs. The tiled and fused
-// variants are timed as interleaved rounds with the fastest round kept,
-// so the fused-over-tiled ratio is insensitive to host noise drifting
-// between the two measurements.
+// MeasureKernelSpeedupCell runs the scalar baseline, the fast path at
+// workers = host cores and the fast path at workers 1 over the same
+// frames, and compares their outputs. The fast path at workers = cores is
+// timed over speedupReps rounds with the fastest round kept.
 func MeasureKernelSpeedupCell(s Size, frames int) (KernelSpeedupCell, error) {
-	scalar, err := newKernelVariant(s, true, false, 1)
+	scalar, err := newKernelVariant(s, true, 1)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
@@ -168,86 +172,62 @@ func MeasureKernelSpeedupCell(s Size, frames int) (KernelSpeedupCell, error) {
 		return KernelSpeedupCell{}, err
 	}
 	defer scalarOut.Release()
-	tiled, err := newKernelVariant(s, false, false, 0)
+	fast, err := newKernelVariant(s, false, 0)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
-	defer tiled.close()
-	fused, err := newKernelVariant(s, false, true, 0)
+	defer fast.close()
+	fastMS, fastSt, fastOut, err := fast.batch(frames, true)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
-	defer fused.close()
-	tiledMS, tiledSt, tiledOut, err := tiled.batch(frames, true)
-	if err != nil {
-		return KernelSpeedupCell{}, err
-	}
-	defer tiledOut.Release()
-	fusedMS, fusedSt, fusedOut, err := fused.batch(frames, true)
-	if err != nil {
-		return KernelSpeedupCell{}, err
-	}
-	defer fusedOut.Release()
+	defer fastOut.Release()
 	for r := 1; r < speedupReps; r++ {
-		v, _, _, err := tiled.batch(frames, false)
+		v, _, _, err := fast.batch(frames, false)
 		if err != nil {
 			return KernelSpeedupCell{}, err
 		}
-		if v < tiledMS {
-			tiledMS = v
-		}
-		if v, _, _, err = fused.batch(frames, false); err != nil {
-			return KernelSpeedupCell{}, err
-		}
-		if v < fusedMS {
-			fusedMS = v
+		if v < fastMS {
+			fastMS = v
 		}
 	}
-	fstats := fused.fu.FusionStats()
-	fused1, err := newKernelVariant(s, false, true, 1)
+	fast1, err := newKernelVariant(s, false, 1)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
-	defer fused1.close()
-	_, fused1St, fused1Out, err := fused1.batch(frames, true)
+	defer fast1.close()
+	_, fast1St, fast1Out, err := fast1.batch(frames, true)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
-	defer fused1Out.Release()
+	defer fast1Out.Release()
 	cell := KernelSpeedupCell{
-		Size:                 s.String(),
-		Frames:               frames,
-		Workers:              runtime.GOMAXPROCS(0),
-		ScalarWallMS:         scalarMS,
-		TiledWallMS:          tiledMS,
-		FusedWallMS:          fusedMS,
-		PixelsIdentical:      samePixels(scalarOut, tiledOut),
-		StagesIdentical:      scalarSt == tiledSt,
-		FusedPixelsIdentical: samePixels(tiledOut, fused1Out) && samePixels(tiledOut, fusedOut),
-		FusedStagesIdentical: tiledSt == fused1St && tiledSt == fusedSt,
-		FusedPlanesElided:    fstats.PlanesElided,
-		FusedBytesSaved:      fstats.BytesSaved,
+		Size:            s.String(),
+		Frames:          frames,
+		Workers:         runtime.GOMAXPROCS(0),
+		ScalarWallMS:    scalarMS,
+		FastWallMS:      fastMS,
+		PixelsIdentical: samePixels(scalarOut, fastOut) && samePixels(scalarOut, fast1Out),
+		StagesIdentical: scalarSt == fastSt && scalarSt == fast1St,
 	}
-	if tiledMS > 0 {
-		cell.Speedup = scalarMS / tiledMS
-	}
-	if fusedMS > 0 {
-		cell.FusedOverTiled = tiledMS / fusedMS
+	if fastMS > 0 {
+		cell.Speedup = scalarMS / fastMS
 	}
 	return cell, nil
 }
 
-// KernelSpeedup runs the tiled-kernel wall-clock experiment: the blocked,
-// BCE-clean, goroutine-parallel hot loops against the scalar baseline, and
-// the operator-fusion pass against the tiled engine, with the modeled
-// outputs pinned identical. Speedups scale with host cores (the worker
-// pool is capped at GOMAXPROCS), so the recorded figures are properties of
-// the machine that ran the benchmark — the Cores field says which — while
-// the identical-output columns must hold everywhere.
+// KernelSpeedup runs the kernel wall-clock experiment: the fast data
+// path — blocked, BCE-clean, goroutine-parallel, operator-fused hot loops
+// — against the scalar baseline, with the modeled outputs pinned
+// identical. Speedups scale with host cores (the worker pool is capped at
+// GOMAXPROCS), so the recorded figures are properties of the machine that
+// ran the benchmark — the Host and Cores fields say which — while the
+// identical-output columns must hold everywhere.
 func KernelSpeedup() (KernelSpeedupResult, error) {
 	res := KernelSpeedupResult{
 		Schema:     ResultSchema,
 		Experiment: "kernel-speedup",
+		Host:       hostClass(),
 		Cores:      runtime.GOMAXPROCS(0),
 	}
 	for _, ax := range kernelSpeedupAxes() {
@@ -260,24 +240,22 @@ func KernelSpeedup() (KernelSpeedupResult, error) {
 	return res, nil
 }
 
-// RunKernelSpeedup prints the tiled-kernel wall-clock experiment.
+// RunKernelSpeedup prints the kernel wall-clock experiment.
 func RunKernelSpeedup(w io.Writer) error {
 	res, err := KernelSpeedup()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "tiled kernel engine vs scalar baseline, operator fusion vs tiled (NEON model, %d host cores):\n", res.Cores)
-	fmt.Fprintf(w, "%-12s %7s %8s %13s %13s %8s %13s %8s %7s %7s\n",
-		"size", "frames", "workers", "scalar(ms/f)", "tiled(ms/f)", "speedup", "fused(ms/f)", "fx/tiled", "pixels", "stages")
+	fmt.Fprintf(w, "fast data path vs scalar baseline (NEON model, %d host cores, %s):\n", res.Cores, res.Host)
+	fmt.Fprintf(w, "%-12s %7s %8s %13s %13s %8s %7s %7s\n",
+		"size", "frames", "workers", "scalar(ms/f)", "fast(ms/f)", "speedup", "pixels", "stages")
 	okStr := map[bool]string{true: "same", false: "DIFFER"}
 	for _, c := range res.Cells {
-		fmt.Fprintf(w, "%-12s %7d %8d %13.2f %13.2f %7.2fx %13.2f %7.2fx %7s %7s\n",
-			c.Size, c.Frames, c.Workers, c.ScalarWallMS, c.TiledWallMS, c.Speedup,
-			c.FusedWallMS, c.FusedOverTiled,
-			okStr[c.PixelsIdentical && c.FusedPixelsIdentical],
-			okStr[c.StagesIdentical && c.FusedStagesIdentical])
+		fmt.Fprintf(w, "%-12s %7d %8d %13.2f %13.2f %7.2fx %7s %7s\n",
+			c.Size, c.Frames, c.Workers, c.ScalarWallMS, c.FastWallMS, c.Speedup,
+			okStr[c.PixelsIdentical], okStr[c.StagesIdentical])
 	}
-	fmt.Fprintln(w, "pixels and modeled StageTimes are required bit-identical: worker count and")
-	fmt.Fprintln(w, "operator fusion are host scheduling only, never part of the modeled platform")
+	fmt.Fprintln(w, "pixels and modeled StageTimes are required bit-identical at workers 1 and N:")
+	fmt.Fprintln(w, "the host data path and worker count are never part of the modeled platform")
 	return nil
 }

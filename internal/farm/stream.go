@@ -97,17 +97,11 @@ type StreamConfig struct {
 	// count is host-side scheduling only — fused pixels, modeled stage
 	// times and energy are bit-identical at every setting — so it trades
 	// host CPU between streams without touching the platform model.
-	// Negative values are rejected at Submit.
+	// Farm streams run the governed adaptive engine, which has no tile
+	// kernels, so their wavelet passes run the reference loops; the
+	// engine-independent pixel maps and fusion rules tile. Negative
+	// values are rejected at Submit.
 	KernelWorkers int `json:"kernel_workers"`
-	// KernelFusion enables the operator-fusion pass for this stream's
-	// executors. Like KernelWorkers it is host-side scheduling only —
-	// fused pixels, stage times and energy are bit-identical either way.
-	// The per-shape planner fuses only where legality holds; farm streams
-	// run the governed adaptive engine, which vetoes tiling and therefore
-	// fusion, so today this surfaces the planner's decision (and its
-	// veto) through the kernel_fused_* telemetry rather than changing the
-	// schedule.
-	KernelFusion bool `json:"kernel_fusion"`
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -181,13 +175,12 @@ type opKey struct {
 // statistics accumulate into the stream via deltas against the last
 // observed totals.
 type opFuser struct {
-	op         dvfs.OperatingPoint
-	adaptive   *sched.Adaptive
-	fuser      *pipeline.Fuser
-	pipe       *pipeline.PipelinedFuser // non-nil when the stream overlaps frames (depth >= 2)
-	lastRows   map[string]int64
-	lastTime   map[string]sim.Time
-	lastFusion pipeline.FusionStats // last observed fusion counters, for delta accumulation
+	op       dvfs.OperatingPoint
+	adaptive *sched.Adaptive
+	fuser    *pipeline.Fuser
+	pipe     *pipeline.PipelinedFuser // non-nil when the stream overlaps frames (depth >= 2)
+	lastRows map[string]int64
+	lastTime map[string]sim.Time
 
 	// traceBase maps this executor's private modeled timeline onto the
 	// stream's trace timeline: each run of consecutive frames at this point
@@ -275,7 +268,6 @@ type Stream struct {
 	residency       dvfs.Residency
 	lastPoint       string
 	lastSplit       float64          // FPGA row share of the most recent frame
-	fstat           FusionTelemetry  // operator-fusion counters, summed across executors
 	pipeBusy        map[string]int64 // per-stage busy (sim.Time as int64), pipelined streams
 	pipeFill        sim.Time         // first frame's completion: the pipeline-fill latency
 	deadlineMisses  int64
@@ -641,7 +633,6 @@ func (s *Stream) fuserAt(op dvfs.OperatingPoint) *opFuser {
 		fuser: pipeline.New(ad, pipeline.Config{
 			Levels: s.cfg.Levels, Rule: s.rule, IncludeIO: true,
 			Pool: s.pool, KernelWorkers: s.cfg.KernelWorkers,
-			KernelFusion: s.cfg.KernelFusion,
 		}),
 		lastRows: make(map[string]int64),
 		lastTime: make(map[string]sim.Time),
@@ -968,15 +959,6 @@ func (s *Stream) fuseOne(p framePair) {
 	for k, v := range of.adaptive.RoutedTime {
 		s.routedTime[k] += int64(v - of.lastTime[k])
 		of.lastTime[k] = v
-	}
-	if s.cfg.KernelFusion {
-		fs := of.fuser.FusionStats()
-		s.fstat.FusedFrames += fs.FusedFrames - of.lastFusion.FusedFrames
-		s.fstat.PlanesElided += fs.PlanesElided - of.lastFusion.PlanesElided
-		s.fstat.BytesSaved += fs.BytesSaved - of.lastFusion.BytesSaved
-		s.fstat.PlanHits += int64(fs.PlanHits - of.lastFusion.PlanHits)
-		s.fstat.PlanMisses += int64(fs.PlanMisses - of.lastFusion.PlanMisses)
-		of.lastFusion = fs
 	}
 	s.residency.Add(op, st.Total)
 	s.lastPoint = op.Name
@@ -1361,11 +1343,6 @@ func (s *Stream) Telemetry() StreamTelemetry {
 	if s.pool != nil {
 		ps := s.pool.Stats()
 		t.Pool = &ps
-	}
-	if s.cfg.KernelFusion {
-		ft := s.fstat
-		ft.Enabled = true
-		t.Fusion = &ft
 	}
 	if s.latHist.Count() > 0 {
 		lh, eh, qh := s.latHist.Snapshot(), s.energyHist.Snapshot(), s.queueHist.Snapshot()

@@ -7,7 +7,7 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// Fused combine+rule+distribute kernels. The unfused data path
+// Fused combine+rule+distribute kernels. The complex-band rule path
 // materializes six complex band planes per stream per level (q2c), runs
 // the rule over them, then re-materializes the fused complex planes before
 // distributing back to quad (tree) layout (c2q). The quad kernels below
@@ -16,21 +16,21 @@ import (
 // exactly the q2c expressions, select with exactly the rule expressions,
 // and write the fused coefficients straight back in quad layout with
 // exactly the c2q expressions — so the fused pyramid's tree planes are
-// bit-identical to the unfused combine → rule → distribute chain, while
+// bit-identical to the combine → rule → distribute chain, while
 // every intermediate complex plane of all three pyramids is elided.
 
 const invSqrt2 = wavelet.InvSqrt2
 
 // quadRule is the fused fast path the built-in rules provide: fuse detail
 // band pair (bi, 5-bi) of one level straight from quad layout to quad
-// layout. Custom rules without it keep the unfused combine/distribute
-// path (dual-stream loop fusion still applies).
+// layout. Custom rules without it keep the combine/distribute path
+// (dual-stream loop fusion still applies).
 type quadRule interface {
 	fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid)
 }
 
-// CanFuseRule reports whether rule has a fused quad kernel — the
-// planner's RuleFusable legality input.
+// CanFuseRule reports whether rule has a fused quad kernel, which
+// selects the quad-layout rule path on tile-capable engines.
 func CanFuseRule(rule Rule) bool {
 	_, ok := rule.(quadRule)
 	return ok
@@ -40,7 +40,7 @@ func CanFuseRule(rule Rule) bool {
 // (tree) layout: per level and band pair one fused combine+rule+distribute
 // kernel, then the averaged lowpass residuals per tree. All three
 // pyramids may be quad-shaped (complex planes elided); dst's tree planes
-// and residuals come out bit-identical to the unfused
+// and residuals come out bit-identical to the
 // FuseIntoWorkspace + distribute chain.
 func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
@@ -119,7 +119,7 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	}
 	// Windowed activity reads neighbors, so the four squared-magnitude
 	// maps (z1/z2 of each stream) materialize in scratch — the same two
-	// passes per complex band the unfused rule runs, fed from quads.
+	// passes per complex band the complex-band rule runs, fed from quads.
 	activity := func(t *quadMag2Task, mag2S, actS *planeScratch, p *wavelet.DTPyramid) []float32 {
 		t.p, t.q, t.r, t.s = quadPlanes(p, lv, bi)
 		t.dst = mag2S.grow(ws.pool, n)

@@ -12,8 +12,8 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// noQuadRule is a custom rule without a fused quad kernel: the planner
-// must refuse to fuse it and FuseQuads must reject it.
+// noQuadRule is a custom rule without a fused quad kernel: CanFuseRule
+// must report it and FuseQuads must reject it.
 type noQuadRule struct{}
 
 func (noQuadRule) Name() string                            { return "no-quad" }

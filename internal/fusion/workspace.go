@@ -27,7 +27,7 @@ type Workspace struct {
 
 	mag2A, mag2B, actA, actB planeScratch
 	// The fused quad path of WindowEnergy holds z1 and z2 activity alive
-	// at once (the unfused path processes the complex bands one at a
+	// at once (the complex-band path processes the bands one at a
 	// time), so it needs a second scratch bank.
 	mag2A2, mag2B2, actA2, actB2 planeScratch
 

@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/camera"
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/frame"
@@ -20,12 +22,12 @@ func fusePair(t testing.TB, eng engine.Engine, cfg Config, vis, ir *frame.Frame)
 	defer fu.Close()
 	rec, st, err := fu.FuseFrames(vis, ir)
 	if err != nil {
-		t.Fatalf("FuseFrames(fusion=%v workers=%d): %v", cfg.KernelFusion, cfg.KernelWorkers, err)
+		t.Fatalf("FuseFrames(%s workers=%d): %v", eng.Name(), cfg.KernelWorkers, err)
 	}
 	return rec, st
 }
 
-func assertIdentical(t *testing.T, label string, ref, got *frame.Frame, refSt, gotSt StageTimes) {
+func assertIdentical(t testing.TB, label string, ref, got *frame.Frame, refSt, gotSt StageTimes) {
 	t.Helper()
 	if !ref.SameSize(got) {
 		t.Fatalf("%s: size %dx%d vs %dx%d", label, ref.W, ref.H, got.W, got.H)
@@ -41,20 +43,58 @@ func assertIdentical(t *testing.T, label string, ref, got *frame.Frame, refSt, g
 	}
 }
 
-// TestFusedEquivalence pins the operator-fusion determinism contract:
-// with KernelFusion on, pixels and the full StageTimes (including energy)
-// are bit-identical to the unfused path, for every built-in rule, a
-// custom rule (dual-stream fusion only), odd geometry, and worker counts
-// 1 and 4.
+// refEngine hides a tile-capable engine's TileKernel view, so the fuser
+// runs the sequential reference loops with the same accounting.
+type refEngine struct{ engine.Engine }
+
+// fastEngines pairs each tile-capable engine with its sequential
+// reference: the emulated NEON unit for NEON, the tile-hidden engine for
+// ARM.
+var fastEngines = []struct {
+	name      string
+	ref, fast func() engine.Engine
+}{
+	{"neon", func() engine.Engine { return engine.NewNEONEmulated(false) }, func() engine.Engine { return engine.NewNEON(false) }},
+	{"arm", func() engine.Engine { return refEngine{engine.NewARM()} }, func() engine.Engine { return engine.NewARM() }},
+}
+
+// assertSameLedger compares the NEON instruction ledgers of a reference
+// and a fast engine (a no-op for other engines).
+func assertSameLedger(t testing.TB, label string, ref, fast engine.Engine) {
+	t.Helper()
+	rn, ok := ref.(*engine.NEON)
+	if !ok {
+		return
+	}
+	if rn.Unit().C != fast.(*engine.NEON).Unit().C {
+		t.Fatalf("%s: NEON instruction ledger diverges:\nref %+v\ngot %+v", label, rn.Unit().C, fast.(*engine.NEON).Unit().C)
+	}
+}
+
+// TestFusedEquivalence pins the fast path's determinism contract: on
+// every tile-capable engine, pixels, the full StageTimes (including
+// energy) and the NEON ledger are bit-identical to the sequential
+// reference loops, for every built-in rule, a custom rule (no quad
+// kernel), even and odd geometry, frames far below a kilopixel, and
+// worker counts 1, 2 and 4.
 func TestFusedEquivalence(t *testing.T) {
-	// Real parallelism for the workers=4 rows, whatever the host core
+	// Real parallelism for the multi-worker rows, whatever the host core
 	// count: worker pools cap at GOMAXPROCS.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	sc := camera.NewScene(96, 72, 7)
-	vis, ir := sc.Visible(), sc.Thermal()
-	scOdd := camera.NewScene(97, 71, 8)
-	visOdd, irOdd := scOdd.Visible(), scOdd.Thermal()
-
+	var pairs []struct {
+		tag     string
+		vis, ir *frame.Frame
+	}
+	for _, g := range []struct {
+		tag  string
+		w, h int
+	}{{"even", 96, 72}, {"odd", 97, 71}, {"small", 24, 20}, {"small-odd", 13, 11}} {
+		sc := camera.NewScene(g.w, g.h, int64(g.w+g.h))
+		pairs = append(pairs, struct {
+			tag     string
+			vis, ir *frame.Frame
+		}{g.tag, sc.Visible(), sc.Thermal()})
+	}
 	rules := []fusion.Rule{
 		nil, // default max-magnitude
 		fusion.Average{},
@@ -62,33 +102,35 @@ func TestFusedEquivalence(t *testing.T) {
 		fusion.WindowEnergy{R: 0},
 		customRule{},
 	}
-	for _, rule := range rules {
-		name := "default"
-		if rule != nil {
-			name = rule.Name()
-		}
-		for _, pair := range []struct {
-			tag     string
-			vis, ir *frame.Frame
-		}{{"even", vis, ir}, {"odd", visOdd, irOdd}} {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s/%s/w%d", name, pair.tag, workers)
-				base := Config{Levels: 3, Rule: rule, IncludeIO: true, KernelWorkers: 1}
-				refRec, refSt := fusePair(t, engine.NewNEON(false), base, pair.vis, pair.ir)
-				cfg := base
-				cfg.KernelWorkers = workers
-				cfg.KernelFusion = true
-				gotRec, gotSt := fusePair(t, engine.NewNEON(false), cfg, pair.vis, pair.ir)
-				assertIdentical(t, label, refRec, gotRec, refSt, gotSt)
+	for _, eng := range fastEngines {
+		for _, rule := range rules {
+			name := "default"
+			if rule != nil {
+				name = rule.Name()
+			}
+			for _, pair := range pairs {
+				levels := min(3, wavelet.MaxLevels(pair.vis.W, pair.vis.H))
+				base := Config{Levels: levels, Rule: rule, IncludeIO: true, KernelWorkers: 1}
+				refEng := eng.ref()
+				refRec, refSt := fusePair(t, refEng, base, pair.vis, pair.ir)
+				for _, workers := range []int{1, 2, 4} {
+					label := fmt.Sprintf("%s/%s/%s/w%d", eng.name, name, pair.tag, workers)
+					cfg := base
+					cfg.KernelWorkers = workers
+					fastEng := eng.fast()
+					gotRec, gotSt := fusePair(t, fastEng, cfg, pair.vis, pair.ir)
+					assertIdentical(t, label, refRec, gotRec, refSt, gotSt)
+					assertSameLedger(t, label, refEng, fastEng)
+					gotRec.Release()
+				}
 				refRec.Release()
-				gotRec.Release()
 			}
 		}
 	}
 }
 
-// customRule has no fused quad kernel, so the planner keeps only the
-// dual-stream pass for it.
+// customRule has no fused quad kernel, so it runs combine, the rule over
+// complex bands, and the distributing inverse.
 type customRule struct{}
 
 func (customRule) Name() string { return "custom-avg" }
@@ -104,80 +146,100 @@ func (customRule) FuseLL(dst, a, b *frame.Frame) {
 	}
 }
 
-// TestFusedStatsAccumulate checks the fuser-side fusion accounting: fused
-// frames count, plane/byte elision accumulates, and the single-entry memo
-// means the planner sees one miss for a stable shape.
-func TestFusedStatsAccumulate(t *testing.T) {
-	sc := camera.NewScene(64, 48, 3)
-	fu := New(engine.NewNEON(false), Config{Levels: 2, KernelFusion: true})
-	defer fu.Close()
-	const frames = 4
-	for i := 0; i < frames; i++ {
-		rec, _, err := fu.FuseFrames(sc.Visible(), sc.Thermal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Release()
-		sc.Advance()
-	}
-	s := fu.FusionStats()
-	if !s.Enabled || s.FusedFrames != frames {
-		t.Fatalf("stats: %+v", s)
-	}
-	if !s.Plan.DualStream || !s.Plan.CombineRule || !s.Plan.RuleDistribute {
-		t.Fatalf("full fusion expected for NEON fast: %+v", s.Plan)
-	}
-	if s.PlanesElided != frames*int64(s.Plan.PlanesElided) || s.BytesSaved != frames*s.Plan.BytesSaved {
-		t.Fatalf("elision accounting: %+v", s)
-	}
-	if s.PlanMisses != 1 {
-		t.Fatalf("stable shape should plan once, got %d misses", s.PlanMisses)
-	}
-	if fu2 := New(engine.NewNEON(false), Config{Levels: 2}); true {
-		defer fu2.Close()
-		rec, _, err := fu2.FuseFrames(sc.Visible(), sc.Thermal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Release()
-		s2 := fu2.FusionStats()
-		if s2.Enabled || s2.FusedFrames != 0 || s2.Plan.Any() {
-			t.Fatalf("fusion off must stay unfused: %+v", s2)
-		}
-	}
-}
-
-// TestFusedVetoEmulatedEngine: the emulated NEON engine vetoes tiling and
-// therefore fusion; KernelFusion on must be a no-op (and still correct).
-func TestFusedVetoEmulatedEngine(t *testing.T) {
-	sc := camera.NewScene(64, 48, 5)
+// TestPipelinedFastMatchesReference: the pipelined executor's stations
+// run the single-stream tile tasks on a fast engine. At depth 2 its
+// pixels must match the sequential executor on the reference loops, and
+// its StageTimes and NEON ledger must match the same pipelined schedule
+// on the reference loops, frame after frame.
+func TestPipelinedFastMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sc := camera.NewScene(97, 71, 11)
 	vis, ir := sc.Visible(), sc.Thermal()
-	base := Config{Levels: 2, IncludeIO: true}
-	refRec, refSt := fusePair(t, engine.NewNEONEmulated(false), base, vis, ir)
-	cfg := base
-	cfg.KernelFusion = true
-	gotRec, gotSt := fusePair(t, engine.NewNEONEmulated(false), cfg, vis, ir)
-	assertIdentical(t, "emulated-veto", refRec, gotRec, refSt, gotSt)
-	refRec.Release()
-	gotRec.Release()
-
-	fu := New(engine.NewNEONEmulated(false), cfg)
-	defer fu.Close()
-	rec, _, err := fu.FuseFrames(vis, ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Release()
-	if s := fu.FusionStats(); s.FusedFrames != 0 || s.Plan.Any() {
-		t.Fatalf("emulated engine must veto fusion: %+v", s)
+	cfg := Config{Levels: 3, IncludeIO: true, KernelWorkers: 1}
+	want, _ := fusePair(t, engine.NewNEONEmulated(false), cfg, vis, ir)
+	defer want.Release()
+	for _, workers := range []int{1, 4} {
+		cfg.KernelWorkers = workers
+		refEng, fastEng := engine.NewNEONEmulated(false), engine.NewNEON(false)
+		refPP, err := NewPipelined(New(refEng, cfg), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastPP, err := NewPipelined(New(fastEng, cfg), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for frameN := 0; frameN < 3; frameN++ {
+			label := fmt.Sprintf("w%d frame %d", workers, frameN)
+			refRec, refSt, err := refPP.FuseFrames(vis, ir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRec, gotSt, err := fastPP.FuseFrames(vis, ir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, label, want, gotRec, refSt, gotSt)
+			assertSameLedger(t, label, refEng, fastEng)
+			refRec.Release()
+			gotRec.Release()
+		}
 	}
 }
 
-// FuzzFusedEquivalence fuzzes the fused-vs-unfused equivalence over
-// geometry, depth, engine, worker count and scene content: with
-// KernelFusion on, pixels and StageTimes must be bit-identical to the
-// unfused reference — whether the shape fuses fully, partially (custom
-// rules, small sizes) or not at all (vetoed engines).
+// TestFusedPoolCapSweep sweeps the frame-store cap across the fast
+// path's working set: every frame either fuses to the uncapped pixels or
+// fails with ErrOverCap — never a panic — and Close always returns the
+// arena to zero outstanding leases.
+func TestFusedPoolCapSweep(t *testing.T) {
+	sc := camera.NewScene(96, 72, 5)
+	vis, ir := sc.Visible(), sc.Thermal()
+	cfg := Config{Levels: 3}
+	want, _ := fusePair(t, engine.NewNEON(false), cfg, vis, ir)
+	defer want.Release()
+	var fused, refused int
+	for capBytes := int64(4 << 10); capBytes <= 2<<20; capBytes += 4 << 10 {
+		pool := bufpool.New(bufpool.Options{CapBytes: capBytes})
+		c := cfg
+		c.Pool = pool
+		fu := New(engine.NewNEON(false), c)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("cap %d B: panic: %v", capBytes, r)
+				}
+			}()
+			rec, _, err := fu.FuseFrames(vis, ir)
+			switch {
+			case errors.Is(err, bufpool.ErrOverCap):
+				refused++
+			case err != nil:
+				t.Fatalf("cap %d B: unexpected error: %v", capBytes, err)
+			default:
+				fused++
+				for i := range want.Pix {
+					if rec.Pix[i] != want.Pix[i] {
+						t.Fatalf("cap %d B: pixel %d diverges", capBytes, i)
+					}
+				}
+				rec.Release()
+			}
+		}()
+		fu.Close()
+		if n := pool.Stats().Outstanding; n != 0 {
+			t.Fatalf("cap %d B: %d leases outstanding after Close", capBytes, n)
+		}
+	}
+	if fused == 0 || refused == 0 {
+		t.Fatalf("sweep must cover both outcomes: %d fused, %d refused", fused, refused)
+	}
+}
+
+// FuzzFusedEquivalence fuzzes the fast path against the sequential
+// reference over geometry, depth, engine, worker count and scene
+// content: pixels, StageTimes and the NEON ledger must be bit-identical.
+// The emulated NEON engine, which has no tile kernels, is fuzzed against
+// itself across worker counts.
 func FuzzFusedEquivalence(f *testing.F) {
 	// (w, h, levels, engine selector, workers, seed)
 	f.Add(uint8(32), uint8(24), uint8(1), uint8(1), uint8(1), int64(1))
@@ -193,16 +255,14 @@ func FuzzFusedEquivalence(f *testing.F) {
 			t.Skip("degenerate geometry")
 		}
 		lv := 1 + int(levels)%maxLv
-		eng := func() engine.Engine {
-			switch engSel % 3 {
-			case 0:
-				eng := engine.NewARM()
-				return eng
-			case 1:
-				return engine.NewNEON(false)
-			default:
-				return engine.NewNEONEmulated(false)
-			}
+		var ref, fast engine.Engine
+		switch engSel % 3 {
+		case 0:
+			ref, fast = refEngine{engine.NewARM()}, engine.NewARM()
+		case 1:
+			ref, fast = engine.NewNEONEmulated(false), engine.NewNEON(false)
+		default:
+			ref, fast = engine.NewNEONEmulated(false), engine.NewNEONEmulated(false)
 		}
 		wk := 1 + int(workers)%4
 		if wk > runtime.GOMAXPROCS(0) {
@@ -212,13 +272,13 @@ func FuzzFusedEquivalence(f *testing.F) {
 		vis, ir := sc.Visible(), sc.Thermal()
 
 		base := Config{Levels: lv, IncludeIO: true, KernelWorkers: 1}
-		refRec, refSt := fusePair(t, eng(), base, vis, ir)
+		refRec, refSt := fusePair(t, ref, base, vis, ir)
 		cfg := base
 		cfg.KernelWorkers = wk
-		cfg.KernelFusion = true
-		gotRec, gotSt := fusePair(t, eng(), cfg, vis, ir)
+		gotRec, gotSt := fusePair(t, fast, cfg, vis, ir)
 		label := fmt.Sprintf("%dx%d lv=%d eng=%d w=%d", W, H, lv, engSel%3, wk)
 		assertIdentical(t, label, refRec, gotRec, refSt, gotSt)
+		assertSameLedger(t, label, ref, fast)
 		refRec.Release()
 		gotRec.Release()
 	})

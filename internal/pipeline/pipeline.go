@@ -38,26 +38,14 @@ type Config struct {
 	// selects the allocating baseline the golden tests compare against.
 	Pool *bufpool.Pool
 	// KernelWorkers sizes the worker pool the wavelet and fusion hot
-	// loops tile across: 0 selects GOMAXPROCS, 1 runs fully sequential,
-	// and any value is capped at GOMAXPROCS. Worker count never changes
-	// results — compute runs in disjoint tiles and all modeled accounting
-	// replays in sequential order — so pixels, StageTimes and energy are
-	// byte-identical at any setting. The pool's helper goroutines spawn
-	// lazily on the first parallel pass and are parked by Close.
+	// loops tile across: 0 selects GOMAXPROCS, 1 runs every tile on the
+	// caller, and any value is capped at GOMAXPROCS. Worker count never
+	// changes results — compute runs in disjoint tiles and all modeled
+	// accounting replays in sequential order — so pixels, StageTimes and
+	// energy are byte-identical at any setting. The pool's helper
+	// goroutines spawn lazily on the first parallel pass and are parked
+	// by Close.
 	KernelWorkers int
-	// KernelFusion enables the operator-fusion pass: a per-shape planner
-	// may run both forward transforms as one interleaved dual-stream
-	// traversal, execute the q2c combine + fusion rule + c2q distribute
-	// per tile straight in quad (tree) layout — eliding every
-	// intermediate complex band plane — and fold the inverse's four-tree
-	// average into its final accumulation. Fusion never changes results:
-	// pixels, StageTimes and the energy ledger stay bit-identical to the
-	// unfused path at every worker count, because per-element arithmetic
-	// order is preserved and all modeled charges replay sequentially in
-	// unfused order. Engines that veto tiling also veto fusion, custom
-	// fusion rules keep only the dual-stream pass, and the inter-frame
-	// pipelined executor (depth >= 2) runs unfused.
-	KernelFusion bool
 }
 
 // DefaultLevels is the decomposition depth a zero Config.Levels selects.
@@ -155,28 +143,10 @@ type Fuser struct {
 	// transform frame stores: the two source pyramids and the fused one.
 	pa, pb, fused *wavelet.DTPyramid
 
-	// Operator-fusion planning state: the planner caches a FusionPlan per
-	// execution shape, and the single-entry memo in front of it makes the
-	// steady-state per-frame probe a struct compare.
-	planner   *kernels.FusionPlanner
-	plan      kernels.FusionPlan
-	planShape kernels.FusionShape
-	planValid bool
-	fstats    FusionStats
-}
-
-// FusionStats reports the operator-fusion pass's activity: the active
-// plan, how many frames ran fused, the intermediate planes (and bytes)
-// the fused kernels never materialized, and the planner cache's hit/miss
-// counts.
-type FusionStats struct {
-	Enabled      bool
-	Plan         kernels.FusionPlan
-	FusedFrames  int64
-	PlanesElided int64
-	BytesSaved   int64
-	PlanHits     int
-	PlanMisses   int
+	// quad selects the fused rule path: the engine runs the tiled
+	// dual-stream forward and the rule has a quad kernel, so combine, rule
+	// and distribute execute in quad (tree) layout.
+	quad bool
 }
 
 // New returns a Fuser bound to the engine.
@@ -200,6 +170,7 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 		pa:      &wavelet.DTPyramid{},
 		pb:      &wavelet.DTPyramid{},
 		fused:   &wavelet.DTPyramid{},
+		quad:    x.TileCapable() && fusion.CanFuseRule(cfg.Rule),
 	}
 }
 
@@ -229,50 +200,6 @@ func (f *Fuser) Close() {
 
 // drain returns the engine time consumed since the last drain.
 func (f *Fuser) drain() sim.Time { return f.eng.Reset() }
-
-// fusionPlan resolves the operator-fusion plan for a frame geometry. With
-// KernelFusion off it returns the zero (fully unfused) plan without
-// touching the planner. Any shape change — geometry, depth, worker count,
-// engine, operating point, rule fusability — invalidates the single-entry
-// memo and re-probes the planner, which replans only on genuinely new
-// shapes.
-func (f *Fuser) fusionPlan(w, h int) kernels.FusionPlan {
-	if !f.cfg.KernelFusion {
-		return kernels.FusionPlan{}
-	}
-	shape := kernels.FusionShape{
-		W: w, H: h,
-		Levels:      f.cfg.Levels,
-		Workers:     f.workers.N(),
-		Engine:      f.eng.Name(),
-		PointMHz:    f.Point().MHz(),
-		Tiled:       f.dt.X.TileCapable(),
-		RuleFusable: fusion.CanFuseRule(f.cfg.Rule),
-	}
-	if f.planValid && shape == f.planShape {
-		return f.plan
-	}
-	if f.planner == nil {
-		f.planner = kernels.NewFusionPlanner()
-	}
-	f.plan = f.planner.Plan(shape)
-	f.planShape = shape
-	f.planValid = true
-	return f.plan
-}
-
-// FusionStats returns the accumulated operator-fusion counters. Plan is
-// the most recently resolved plan (zero until the first fused-eligible
-// frame).
-func (f *Fuser) FusionStats() FusionStats {
-	s := f.fstats
-	s.Enabled = f.cfg.KernelFusion
-	s.Plan = f.plan
-	if f.planner != nil {
-		s.PlanHits, s.PlanMisses, _ = f.planner.Stats()
-	}
-	return s
-}
 
 // validatePair is the shared admission check of both executors: non-nil
 // same-size sources and a decomposition depth the geometry supports.
@@ -310,7 +237,6 @@ func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, erro
 	}
 	var st StageTimes
 	px := float64(vis.W * vis.H)
-	plan := f.fusionPlan(vis.W, vis.H)
 	f.drain() // discard anything pending
 	if ld, ok := f.eng.(laneDrainer); ok {
 		ld.DrainLanes() // discard pending lane accounting with it
@@ -321,27 +247,20 @@ func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, erro
 		st.Capture = f.drain()
 	}
 
-	// Every fused stage body replays the unfused path's modeled charges in
-	// unfused order before its drain, so each stage's time — and the
-	// float64 cycle accumulators behind it — matches the unfused branch
+	// Tile-capable engines run the fused cascade: one dual-stream forward
+	// traversal, the rule in quad layout, and the inverse straight from
+	// it. Every stage body replays the reference loops' modeled charges in
+	// reference order before its drain, so each stage's time — and the
+	// float64 cycle accumulators behind it — matches the sequential path
 	// bit for bit. The q2c combine keeps its Forward attribution and the
-	// c2q distribute its Inverse attribution even when the rule fusion
-	// absorbs their compute.
-	if plan.DualStream {
-		if err := f.dt.ForwardPairInto(f.pa, f.pb, vis, ir, levels, !plan.CombineRule); err != nil {
-			return nil, st, err
-		}
-	} else {
-		if _, err := f.dt.ForwardInto(f.pa, vis, levels); err != nil {
-			return nil, st, err
-		}
-		if _, err := f.dt.ForwardInto(f.pb, ir, levels); err != nil {
-			return nil, st, err
-		}
+	// c2q distribute its Inverse attribution even when the quad rule
+	// absorbs their compute. Other engines run the reference loops.
+	if err := f.dt.ForwardPairInto(f.pa, f.pb, vis, ir, levels, !f.quad); err != nil {
+		return nil, st, err
 	}
 	st.Forward = f.drain()
 
-	if plan.CombineRule && plan.RuleDistribute {
+	if f.quad {
 		if err := f.dt.ShapeQuadPyramid(f.fused, vis.W, vis.H, levels); err != nil {
 			return nil, st, err
 		}
@@ -361,7 +280,7 @@ func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, erro
 
 	var rec *frame.Frame
 	var err error
-	if plan.RuleDistribute {
+	if f.quad {
 		rec, err = f.dt.InverseFused(f.fused)
 	} else {
 		rec, err = f.dt.Inverse(f.fused)
@@ -370,12 +289,6 @@ func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, erro
 		return nil, st, err
 	}
 	st.Inverse = f.drain()
-
-	if plan.Any() {
-		f.fstats.FusedFrames++
-		f.fstats.PlanesElided += int64(plan.PlanesElided)
-		f.fstats.BytesSaved += plan.BytesSaved
-	}
 
 	if f.cfg.IncludeIO {
 		f.eng.ChargeCPUCycles(px * engine.DisplayCyclesPerPixel)

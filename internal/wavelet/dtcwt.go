@@ -381,14 +381,22 @@ func (t *DTCWT) Inverse(p *DTPyramid) (*frame.Frame, error) {
 	if p.NumLevels() == 0 {
 		return nil, errors.New("wavelet.DTCWT: empty pyramid")
 	}
-	pool := t.poolOr()
 	for lv := range p.Levels {
 		distributeLevel(t.X, p.trees, p.Levels[lv], lv)
 	}
+	return t.inverseTrees(p)
+}
+
+// inverseTrees inverts each tree of a distributed pyramid and averages
+// the four reconstructions, folding the average's scale into the final
+// accumulation.
+func (t *DTCWT) inverseTrees(p *DTPyramid) (*frame.Frame, error) {
+	x := t.X
+	pool := t.poolOr()
 	var acc *frame.Frame
 	for c := 0; c < numTrees; c++ {
 		p.trees[c].LL = p.LLs[c]
-		rec, err := inverse2DPooled(t.X, p.trees[c], pool)
+		rec, err := inverse2DPooled(x, p.trees[c], pool)
 		if err != nil {
 			if acc != nil {
 				acc.Release()
@@ -404,13 +412,17 @@ func (t *DTCWT) Inverse(p *DTPyramid) (*frame.Frame, error) {
 			rec.Release()
 			return nil, errors.New("wavelet.DTCWT: tree reconstruction size mismatch")
 		}
-		t.X.pixAcc = accTask{dst: acc.Pix, src: rec.Pix}
-		t.X.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 8, t.X.W.N()), &t.X.pixAcc)
+		n := len(acc.Pix)
+		if c < numTrees-1 {
+			x.pixAcc = accTask{dst: acc.Pix, src: rec.Pix}
+			x.W.Run(n, kernels.Grain(n, 8, x.W.N()), &x.pixAcc)
+		} else {
+			x.pixAccScale = accScaleTask{dst: acc.Pix, src: rec.Pix}
+			x.W.Run(n, kernels.Grain(n, 8, x.W.N()), &x.pixAccScale)
+		}
 		rec.Release()
 	}
-	t.X.pixScale = scaleTask{dst: acc.Pix}
-	t.X.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 4, t.X.W.N()), &t.X.pixScale)
-	t.X.chargeCPU(numTrees * len(acc.Pix))
+	x.chargeCPU(numTrees * len(acc.Pix))
 	return acc, nil
 }
 

@@ -211,7 +211,7 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 		}
 		return err
 	}
-	if x.tiledKernels() {
+	if x.TileCapable() {
 		x.forwardRowsTiled(rowBank, p, rowOut, w, h, mw)
 	} else {
 		for y := 0; y < h; y++ {
@@ -226,8 +226,8 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 
 	// Vertical pass on each column of both halves.
 	hl, lh, hh := b.HL, b.LH, b.HH
-	if x.tiledKernels() {
-		x.forwardColsTiled(colBank, rowOut, ll.Pix, lh.Pix, hl.Pix, hh.Pix, w, h, mw, mh)
+	if x.TileCapable() {
+		x.forwardColsBlk(colBank, rowOut, ll.Pix, lh.Pix, hl.Pix, hh.Pix, w, h, mw, mh)
 		rowOut.Release()
 		return nil
 	}
@@ -307,9 +307,9 @@ func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands
 	if err != nil {
 		return nil, err
 	}
-	if x.tiledKernels() {
-		x.inverseColsTiled(colBank, ll.Pix, b.LH.Pix, rowOut, w, h, mw, mh, 0)
-		x.inverseColsTiled(colBank, b.HL.Pix, b.HH.Pix, rowOut, w, h, mw, mh, mw)
+	if x.TileCapable() {
+		x.inverseColsBlk(colBank, ll.Pix, b.LH.Pix, rowOut, w, h, mw, mh, 0)
+		x.inverseColsBlk(colBank, b.HL.Pix, b.HH.Pix, rowOut, w, h, mw, mh, mw)
 		x.inverseRowsTiled(rowBank, rowOut, w, h, mw)
 	} else {
 		loCol := growCol(x, mh)

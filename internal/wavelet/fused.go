@@ -10,23 +10,23 @@ import (
 	"zynqfusion/internal/signal"
 )
 
-// Operator-fused transform paths. The fused forward runs the visible and
-// infrared DT-CWTs as one interleaved tiled traversal: the level-1 row
-// passes are computed once per row tree (the two tree combinations sharing
-// a row tree repeat them verbatim in the unfused cascade), the level-1
-// column passes compute both column trees from a single gather+pad, and
-// every dispatch drives both streams. The fused inverse consumes quad
-// (tree) coefficients written directly by the fused rule kernel, skipping
-// the c2q distribution pass, and folds the four-tree average into the last
-// accumulation.
+// Operator-fused transform paths: the fast path of every tile-capable
+// engine. The fused forward runs the visible and infrared DT-CWTs as one
+// interleaved tiled traversal: the level-1 row passes are computed once
+// per row tree (the two tree combinations sharing a row tree repeat them
+// verbatim in the per-tree cascade), the level-1 column passes compute
+// both column trees from a single gather+pad, and every dispatch drives
+// both streams. The fused inverse consumes quad (tree) coefficients
+// written directly by the fused rule kernel, skipping the c2q
+// distribution pass.
 //
 // Determinism follows the kernel engine's contract: the traversals above
 // are pure compute built from the same charge-free tile kernels and the
-// same per-element expressions as the unfused path, while every modeled
-// cycle — float64 accumulators whose addition order matters — is replayed
-// sequentially afterwards in exactly the order the unfused cascade charges
-// it. Pixels, StageTimes and the energy ledger are therefore bit-identical
-// to the unfused path at every worker count.
+// same per-element expressions as the sequential loops, while every
+// modeled cycle — float64 accumulators whose addition order matters — is
+// replayed sequentially afterwards in exactly the order the sequential
+// cascade charges it. Pixels, StageTimes and the energy ledger are
+// therefore bit-identical to the reference at every worker count.
 
 // pairTask interleaves two equally-shaped tasks in one parallel dispatch:
 // each tile runs the first body then the second over the same index range,
@@ -40,19 +40,13 @@ func (t *pairTask) Tile(lo, hi, worker int) {
 	t.b.Tile(lo, hi, worker)
 }
 
-// colBlock is the column-block width of the fused dual-tree vertical
-// pass: enough columns per block that the gather reads and the scatter
-// writes sweep whole cache lines of the row-major planes, while the block
-// staging (one input block plus four subband blocks) stays cache-resident.
-const colBlock = 8
-
 // fwdColsDualTask runs the vertical analysis of both column trees from a
 // single column gather: a block of columns of the shared row-pass output
 // gathers once (line-sequential in the source), each column pads once and
 // filters through both trees' banks into block staging, and a blocked
 // scatter writes the four subband planes line-sequentially — the same
-// per-column filter inputs and outputs as the column-at-a-time form, so
-// the coefficients are bit-identical; only the data movement is blocked.
+// per-column filter inputs and outputs as the sequential loop, so the
+// coefficients are bit-identical; only the data movement is blocked.
 type fwdColsDualTask struct {
 	x                  *Xfm
 	bankA, bankB       *Bank
@@ -122,216 +116,6 @@ func (t *fwdColsDualTask) tileHalf(lo, hi, worker int, loA, hiA, loB, hiB []floa
 				dHiB[j] = bHiB[j*mh+y]
 			}
 		}
-	}
-}
-
-// fwdColsBlkTask is the fused deep-level vertical pass: fwdColsTask's
-// geometry with fwdColsDualTask's blocked data movement — one bank, one
-// source, columns gathered and subbands scattered a cache-line-wide block
-// at a time. It exists only on the fused path; the unfused tiled cascade
-// keeps the column-at-a-time reference form.
-type fwdColsBlkTask struct {
-	x              *Xfm
-	bank           *Bank
-	src            *frame.Frame
-	ll, lh, hl, hh []float32
-	w, h, mw, mh   int
-}
-
-func (t *fwdColsBlkTask) Tile(lo, hi, worker int) {
-	if lo < t.mw {
-		end := hi
-		if end > t.mw {
-			end = t.mw
-		}
-		t.tileHalf(lo, end, worker, t.ll, t.lh, 0)
-	}
-	if hi > t.mw {
-		start := lo
-		if start < t.mw {
-			start = t.mw
-		}
-		t.tileHalf(start, hi, worker, t.hl, t.hh, t.mw)
-	}
-}
-
-func (t *fwdColsBlkTask) tileHalf(lo, hi, worker int, dstLo, dstHi []float32, off int) {
-	x := t.x
-	ws := &x.ws[worker]
-	w, h, mw, mh := t.w, t.h, t.mw, t.mh
-	blk := ws.colBlk.buf[:colBlock*h]
-	bLo := ws.bLoA.buf[:colBlock*mh]
-	bHi := ws.bHiA.buf[:colBlock*mh]
-	for cx0 := lo; cx0 < hi; cx0 += colBlock {
-		nb := hi - cx0
-		if nb > colBlock {
-			nb = colBlock
-		}
-		for y := 0; y < h; y++ {
-			row := t.src.Pix[y*w+cx0 : y*w+cx0+nb]
-			for j := 0; j < nb; j++ {
-				blk[j*h+y] = row[j]
-			}
-		}
-		for j := 0; j < nb; j++ {
-			px := kernels.PadPeriodic(blk[j*h:(j+1)*h], ws.px.buf)
-			x.tile.AnalyzeTile(&t.bank.AL, &t.bank.AH, px, bLo[j*mh:(j+1)*mh], bHi[j*mh:(j+1)*mh])
-		}
-		for y := 0; y < mh; y++ {
-			base := y*mw + cx0 - off
-			dLo := dstLo[base : base+nb]
-			dHi := dstHi[base : base+nb]
-			for j := 0; j < nb; j++ {
-				dLo[j] = bLo[j*mh+y]
-				dHi[j] = bHi[j*mh+y]
-			}
-		}
-	}
-}
-
-// invColsBlkTask is one half of the fused vertical synthesis pass with
-// blocked data movement: a block of lo/hi subband columns gathers
-// line-sequentially, each column pads, synthesizes and delay-compensates
-// exactly as invColsTask does, and the reconstructed block scatters
-// line-sequentially into dst. Fused path only; the unfused tiled cascade
-// keeps the column-at-a-time reference form.
-type invColsBlkTask struct {
-	x                    *Xfm
-	bank                 *Bank
-	loP, hiP             []float32
-	dst                  *frame.Frame
-	w, h, mw, mh, dstOff int
-}
-
-func (t *invColsBlkTask) Tile(lo, hi, worker int) {
-	x := t.x
-	ws := &x.ws[worker]
-	w, h, mw, mh := t.w, t.h, t.mw, t.mh
-	loBlk := ws.colBlk.buf[:colBlock*mh]
-	hiBlk := ws.bLoA.buf[:colBlock*mh]
-	yBlk := ws.bHiA.buf[:colBlock*h]
-	y := ws.y.buf[:h]
-	for cx0 := lo; cx0 < hi; cx0 += colBlock {
-		nb := hi - cx0
-		if nb > colBlock {
-			nb = colBlock
-		}
-		for yy := 0; yy < mh; yy++ {
-			base := yy*mw + cx0
-			lrow := t.loP[base : base+nb]
-			hrow := t.hiP[base : base+nb]
-			for j := 0; j < nb; j++ {
-				loBlk[j*mh+yy] = lrow[j]
-				hiBlk[j*mh+yy] = hrow[j]
-			}
-		}
-		for j := 0; j < nb; j++ {
-			plo := kernels.PadPeriodicPairs(loBlk[j*mh:(j+1)*mh], ws.plo.buf)
-			phi := kernels.PadPeriodicPairs(hiBlk[j*mh:(j+1)*mh], ws.phi.buf)
-			x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
-			signal.Rotate(yBlk[j*h:(j+1)*h], y, t.bank.delay)
-		}
-		for yy := 0; yy < h; yy++ {
-			base := yy*w + cx0 + t.dstOff
-			drow := t.dst.Pix[base : base+nb]
-			for j := 0; j < nb; j++ {
-				drow[j] = yBlk[j*h+yy]
-			}
-		}
-	}
-}
-
-// inverseColsBlk dispatches the blocked half-pass and replays the exact
-// charge sequence inverseColsTiled (and the sequential loop before it)
-// issues per column.
-func (x *Xfm) inverseColsBlk(bank *Bank, loP, hiP []float32, dst *frame.Frame, w, h, mw, mh, dstOff int) {
-	ws := x.workspaces(x.W.N())
-	for i := range ws {
-		ws[i].colBlk.grow(x.pool, colBlock*mh)
-		ws[i].bLoA.grow(x.pool, colBlock*mh)
-		ws[i].bHiA.grow(x.pool, colBlock*h)
-		ws[i].plo.grow(x.pool, mh+signal.SynthesisPad)
-		ws[i].phi.grow(x.pool, mh+signal.SynthesisPad)
-		ws[i].y.grow(x.pool, h)
-	}
-	x.invColsK = invColsBlkTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
-	x.W.Run(mw, kernels.Grain(mw, 16*mh, x.W.N()), &x.invColsK)
-	for cx := 0; cx < mw; cx++ {
-		x.chargeCPU(2 * mh)
-		x.chargeCPU(2 * (mh + signal.SynthesisPad))
-		x.tile.ChargeSynthesizeRow(mh)
-		x.chargeCPU(2 * mh)
-		x.chargeCPU(h)
-	}
-}
-
-// inverse2DFused reconstructs one tree with the blocked synthesis passes,
-// bit-identical — pixels and charges — to inverse2DPooled.
-func inverse2DFused(x *Xfm, d *Decomp, pool *bufpool.Pool) (*frame.Frame, error) {
-	if x.tile == nil {
-		return inverse2DPooled(x, d, pool)
-	}
-	if len(d.Levels) == 0 || d.LL == nil {
-		return nil, errors.New("wavelet.Inverse2D: empty decomposition")
-	}
-	cur := d.LL
-	var curOwned *frame.Frame
-	for lv := len(d.Levels) - 1; lv >= 0; lv-- {
-		b := d.Levels[lv]
-		if !cur.SameSize(b.HL) || !cur.SameSize(b.LH) || !cur.SameSize(b.HH) {
-			if curOwned != nil {
-				curOwned.Release()
-			}
-			return nil, fmt.Errorf("wavelet.Inverse2D: level %d subband size mismatch", lv+1)
-		}
-		mw, mh := cur.W, cur.H
-		w, h := 2*mw, 2*mh
-		rowOut, err := pool.Get(w, h)
-		if err != nil {
-			if curOwned != nil {
-				curOwned.Release()
-			}
-			return nil, err
-		}
-		x.inverseColsBlk(d.ColBanks[lv], cur.Pix, b.LH.Pix, rowOut, w, h, mw, mh, 0)
-		x.inverseColsBlk(d.ColBanks[lv], b.HL.Pix, b.HH.Pix, rowOut, w, h, mw, mh, mw)
-		x.inverseRowsTiled(d.RowBanks[lv], rowOut, w, h, mw)
-		next := rowOut
-		if orig := d.sizes[lv]; orig.w != w || orig.h != h {
-			cropped, err := pool.Get(orig.w, orig.h)
-			if err != nil {
-				rowOut.Release()
-				if curOwned != nil {
-					curOwned.Release()
-				}
-				return nil, err
-			}
-			for r := 0; r < orig.h; r++ {
-				copy(cropped.Row(r), rowOut.Pix[r*w:r*w+orig.w])
-			}
-			rowOut.Release()
-			next = cropped
-		}
-		if curOwned != nil {
-			curOwned.Release()
-		}
-		curOwned = next
-		cur = next
-	}
-	return cur, nil
-}
-
-// accScaleTask folds the four-tree average into the final accumulation:
-// per element the same rounded float32 add then rounded multiply the
-// separate accumulate and scale passes perform, in one traversal.
-type accScaleTask struct {
-	dst, src []float32
-}
-
-func (t *accScaleTask) Tile(lo, hi, _ int) {
-	dst, src := t.dst, t.src
-	for i := lo; i < hi; i++ {
-		dst[i] = (dst[i] + src[i]) * (1.0 / numTrees)
 	}
 }
 
@@ -418,10 +202,11 @@ func (t *DTCWT) ShapeQuadPyramid(p *DTPyramid, w, h, levels int) error {
 
 // ForwardPairInto computes the DT-CWTs of vis into pa and ir into pb as
 // one fused dual-stream traversal. combine selects whether the complex
-// band planes are materialized (q2c) as the unfused forward does; the
-// fused rule path passes false and reads the quad planes directly. The
-// results — coefficients and every modeled charge — are bit-identical to
-// two sequential ForwardInto calls (vis first).
+// band planes are materialized (q2c) as ForwardInto does; the quad rule
+// path passes false and reads the quad planes directly. The results —
+// coefficients and every modeled charge — are bit-identical to two
+// ForwardInto calls (vis first), which is what engines without tile
+// kernels run (their pyramids always carry the complex planes).
 func (t *DTCWT) ForwardPairInto(pa, pb *DTPyramid, vis, ir *frame.Frame, levels int, combine bool) error {
 	if levels < 1 || levels > MaxLevels(vis.W, vis.H) {
 		return fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, vis.W, vis.H)
@@ -431,8 +216,6 @@ func (t *DTCWT) ForwardPairInto(pa, pb *DTPyramid, vis, ir *frame.Frame, levels 
 	}
 	x := t.X
 	if x.tile == nil {
-		// No tile kernels (the planner vetoes this shape; kept as a safe
-		// fallback): run the unfused pair.
 		if _, err := t.ForwardInto(pa, vis, levels); err != nil {
 			return err
 		}
@@ -466,7 +249,7 @@ func (t *DTCWT) ForwardPairInto(pa, pb *DTPyramid, vis, ir *frame.Frame, levels 
 		}
 	}
 	// Replay the modeled charges sequentially in exactly the order two
-	// unfused ForwardInto calls issue them: the complete visible
+	// sequential ForwardInto calls issue them: the complete visible
 	// transform's, then the infrared's. The q2c combine charges replay
 	// regardless of where the combine compute runs — when the rule fusion
 	// absorbs it, the modeled cost keeps its Forward-stage attribution.
@@ -481,7 +264,7 @@ func (t *DTCWT) forwardPairCompute(pa, pb *DTPyramid, vis, ir *frame.Frame, leve
 	pool := t.poolOr()
 
 	// Shared level-1 pads (odd inputs only) serve all four trees of a
-	// stream; the unfused cascade re-pads per tree.
+	// stream; the per-tree cascade re-pads per tree.
 	pV, ownV, err := padEvenCompute(vis, pool)
 	if err != nil {
 		return err
@@ -560,37 +343,40 @@ func (t *DTCWT) forwardPairCompute(pa, pb *DTPyramid, vis, ir *frame.Frame, leve
 		cA, cB := comboIndex(rt, 'a'), comboIndex(rt, 'b')
 		colBankA := t.treeBanks('a', levels)[0]
 		colBankB := t.treeBanks('b', levels)[0]
+		// A failed lease leaves the remaining destinations unset; fail
+		// releases every plane already leased.
 		llAv, err := llDst(pa.trees[cA], &ownedV, &llV, cA)
+		var llBv, llAi, llBi *frame.Frame
 		if err == nil {
-			var e2 error
-			if llBv, e2 := llDst(pa.trees[cB], &ownedV, &llV, cB); e2 == nil {
-				var llAi, llBi *frame.Frame
-				if llAi, e2 = llDst(pb.trees[cA], &ownedI, &llI, cA); e2 == nil {
-					if llBi, e2 = llDst(pb.trees[cB], &ownedI, &llI, cB); e2 == nil {
-						for i := range ws {
-							ws[i].px.grow(x.pool, h+signal.TapCount)
-							ws[i].colBlk.grow(x.pool, colBlock*h)
-							ws[i].bLoA.grow(x.pool, colBlock*mh)
-							ws[i].bHiA.grow(x.pool, colBlock*mh)
-							ws[i].bLoB.grow(x.pool, colBlock*mh)
-							ws[i].bHiB.grow(x.pool, colBlock*mh)
-						}
-						la, lb := &pa.trees[cA].Levels[0], &pa.trees[cB].Levels[0]
-						x.fwdColsD = fwdColsDualTask{x: x, bankA: colBankA, bankB: colBankB, src: rowV,
-							llA: llAv.Pix, lhA: la.LH.Pix, hlA: la.HL.Pix, hhA: la.HH.Pix,
-							llB: llBv.Pix, lhB: lb.LH.Pix, hlB: lb.HL.Pix, hhB: lb.HH.Pix,
-							w: w, h: h, mw: mw, mh: mh}
-						la, lb = &pb.trees[cA].Levels[0], &pb.trees[cB].Levels[0]
-						x.fwdColsDB = fwdColsDualTask{x: x, bankA: colBankA, bankB: colBankB, src: rowI,
-							llA: llAi.Pix, lhA: la.LH.Pix, hlA: la.HL.Pix, hhA: la.HH.Pix,
-							llB: llBi.Pix, lhB: lb.LH.Pix, hlB: lb.HL.Pix, hhB: lb.HH.Pix,
-							w: w, h: h, mw: mw, mh: mh}
-						x.pair = pairTask{a: &x.fwdColsD, b: &x.fwdColsDB}
-						x.W.Run(w, kernels.Grain(w, 32*h, x.W.N()), &x.pair)
-					}
-				}
+			llBv, err = llDst(pa.trees[cB], &ownedV, &llV, cB)
+		}
+		if err == nil {
+			llAi, err = llDst(pb.trees[cA], &ownedI, &llI, cA)
+		}
+		if err == nil {
+			llBi, err = llDst(pb.trees[cB], &ownedI, &llI, cB)
+		}
+		if err == nil {
+			for i := range ws {
+				ws[i].px.grow(x.pool, h+signal.TapCount)
+				ws[i].colBlk.grow(x.pool, colBlock*h)
+				ws[i].bLoA.grow(x.pool, colBlock*mh)
+				ws[i].bHiA.grow(x.pool, colBlock*mh)
+				ws[i].bLoB.grow(x.pool, colBlock*mh)
+				ws[i].bHiB.grow(x.pool, colBlock*mh)
 			}
-			err = e2
+			la, lb := &pa.trees[cA].Levels[0], &pa.trees[cB].Levels[0]
+			x.fwdColsD = fwdColsDualTask{x: x, bankA: colBankA, bankB: colBankB, src: rowV,
+				llA: llAv.Pix, lhA: la.LH.Pix, hlA: la.HL.Pix, hhA: la.HH.Pix,
+				llB: llBv.Pix, lhB: lb.LH.Pix, hlB: lb.HL.Pix, hhB: lb.HH.Pix,
+				w: w, h: h, mw: mw, mh: mh}
+			la, lb = &pb.trees[cA].Levels[0], &pb.trees[cB].Levels[0]
+			x.fwdColsDB = fwdColsDualTask{x: x, bankA: colBankA, bankB: colBankB, src: rowI,
+				llA: llAi.Pix, lhA: la.LH.Pix, hlA: la.HL.Pix, hhA: la.HH.Pix,
+				llB: llBi.Pix, lhB: lb.LH.Pix, hlB: lb.HL.Pix, hhB: lb.HH.Pix,
+				w: w, h: h, mw: mw, mh: mh}
+			x.pair = pairTask{a: &x.fwdColsD, b: &x.fwdColsDB}
+			x.W.Run(w, kernels.Grain(w, 32*h, x.W.N()), &x.pair)
 		}
 		rowV.Release()
 		rowI.Release()
@@ -714,7 +500,7 @@ func (t *DTCWT) forwardPairCompute(pa, pb *DTPyramid, vis, ir *frame.Frame, leve
 // charge sequence — per tree and level: the odd-size pad, the per-row and
 // per-column structure and kernel charges; then the per-level q2c combine
 // charges — in exactly the order (and with exactly the per-item replay
-// loops) the unfused cascade performs them, so the float64 cycle
+// loops) the per-tree cascade performs them, so the float64 cycle
 // accumulators and the instruction ledger land bit-identically.
 func (t *DTCWT) replayForwardCharges(w, h, levels int) {
 	x := t.X
@@ -753,55 +539,23 @@ func (t *DTCWT) replayForwardCharges(w, h, levels int) {
 // InverseFused reconstructs the frame from a pyramid whose fused
 // coefficients already sit in quad (tree) layout — the fused rule kernel's
 // output — skipping the c2q distribution compute while replaying its
-// modeled charges, and folding the four-tree average into the final
-// accumulation pass. Bit-identical to Inverse over a distributed pyramid.
+// modeled charges. Bit-identical to Inverse over a distributed pyramid.
 func (t *DTCWT) InverseFused(p *DTPyramid) (*frame.Frame, error) {
 	if p.NumLevels() == 0 {
 		return nil, errors.New("wavelet.DTCWT: empty pyramid")
 	}
-	x := t.X
-	pool := t.poolOr()
 	for lv := range p.Levels {
 		n := len(bandOf(p.trees[TreeAA], lv, 0).Pix)
 		for bi := 0; bi < 3; bi++ {
-			x.chargeCPU(4 * n)
+			t.X.chargeCPU(4 * n)
 		}
 	}
-	var acc *frame.Frame
-	for c := 0; c < numTrees; c++ {
-		p.trees[c].LL = p.LLs[c]
-		rec, err := inverse2DFused(x, p.trees[c], pool)
-		if err != nil {
-			if acc != nil {
-				acc.Release()
-			}
-			return nil, err
-		}
-		if acc == nil {
-			acc = rec
-			continue
-		}
-		if !acc.SameSize(rec) {
-			acc.Release()
-			rec.Release()
-			return nil, errors.New("wavelet.DTCWT: tree reconstruction size mismatch")
-		}
-		if c < numTrees-1 {
-			x.pixAcc = accTask{dst: acc.Pix, src: rec.Pix}
-			x.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 8, x.W.N()), &x.pixAcc)
-		} else {
-			x.pixAccScale = accScaleTask{dst: acc.Pix, src: rec.Pix}
-			x.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 8, x.W.N()), &x.pixAccScale)
-		}
-		rec.Release()
-	}
-	x.chargeCPU(numTrees * len(acc.Pix))
-	return acc, nil
+	return t.inverseTrees(p)
 }
 
 // padEvenCompute is padEvenPooled's charge-free body, shared by the fused
-// traversal (which replays the pad charge later, per tree, as the unfused
-// cascade issues it).
+// traversal (which replays the pad charge later, per tree, as the
+// per-tree cascade issues it).
 func padEvenCompute(img *frame.Frame, pool *bufpool.Pool) (padded, owned *frame.Frame, err error) {
 	if img.W%2 == 0 && img.H%2 == 0 {
 		return img, nil, nil

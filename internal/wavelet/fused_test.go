@@ -12,10 +12,10 @@ import (
 
 // These tests pin the operator-fusion claim at the transform layer: the
 // dual-stream fused forward (shared row passes, blocked dual-tree column
-// gathers) and the fused quad-layout inverse must match the unfused
-// cascade bit for bit — every tree coefficient plane, every complex band,
-// the reconstruction, and the modeled charge sequence — sequential and
-// across a worker pool.
+// gathers) and the fused quad-layout inverse must match the sequential
+// reference cascade bit for bit — every tree coefficient plane, every
+// complex band, the reconstruction, the modeled charge sequence and the
+// NEON ledger — on one worker and across a worker pool.
 
 // compareTreePlanes asserts the quad (tree) detail planes and lowpass
 // residuals of two pyramids match bitwise — the layout the fused rule
@@ -59,8 +59,8 @@ func newTimedDT(mk func() timedKernel, workers int) (*DTCWT, timedKernel, *kerne
 }
 
 // TestForwardPairBitExact runs the fused dual-stream forward against two
-// sequential unfused forwards, in both materialization modes, and the
-// fused quad inverse against the distributing inverse, across engines,
+// reference forwards, in both materialization modes, and the fused quad
+// inverse against the reference distributing inverse, across engines,
 // geometries and worker counts.
 func TestForwardPairBitExact(t *testing.T) {
 	withParallelism(t, 8)
@@ -76,7 +76,7 @@ func TestForwardPairBitExact(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s %dx%d lv=%d workers=%d", name, sz.w, sz.h, levels, workers)
 
-				refDT, refK, refW := newTimedDT(mk, workers)
+				refDT, refK, refW := newTimedDT(mk.ref, 1)
 				refA, err := refDT.Forward(vis, levels)
 				if err != nil {
 					t.Fatalf("%s: forward vis: %v", label, err)
@@ -89,8 +89,8 @@ func TestForwardPairBitExact(t *testing.T) {
 
 				// Fused forward, complex bands materialized: full pyramids
 				// (tree planes, complex bands, residuals) and the modeled
-				// charge total must match the two unfused forwards.
-				cDT, cK, cW := newTimedDT(mk, workers)
+				// charge total must match the two reference forwards.
+				cDT, cK, cW := newTimedDT(mk.fast, workers)
 				pa, pb := &DTPyramid{}, &DTPyramid{}
 				if err := cDT.ForwardPairInto(pa, pb, vis, ir, levels, true); err != nil {
 					t.Fatalf("%s: fused pair: %v", label, err)
@@ -100,17 +100,15 @@ func TestForwardPairBitExact(t *testing.T) {
 				compareTreePlanes(t, label+" vis", refA, pa)
 				compareTreePlanes(t, label+" ir", refB, pb)
 				if cK.Elapsed() != refFwd {
-					t.Fatalf("%s: fused forward modeled %v, unfused %v", label, cK.Elapsed(), refFwd)
+					t.Fatalf("%s: fused forward modeled %v, reference %v", label, cK.Elapsed(), refFwd)
 				}
-				if rn, ok := refK.(*engine.NEON); ok {
-					if rn.Unit().C != cK.(*engine.NEON).Unit().C {
-						t.Fatalf("%s: fused instruction ledger differs", label)
-					}
+				if !sameLedger(refK, cK) {
+					t.Fatalf("%s: fused instruction ledger differs", label)
 				}
 
 				// Fused forward in quad-only mode (complex planes elided),
 				// then the fused inverse against the distributing inverse.
-				qDT, qK, qW := newTimedDT(mk, workers)
+				qDT, qK, qW := newTimedDT(mk.fast, workers)
 				qa, qb := &DTPyramid{}, &DTPyramid{}
 				if err := qDT.ForwardPairInto(qa, qb, vis, ir, levels, false); err != nil {
 					t.Fatalf("%s: quad pair: %v", label, err)
@@ -118,7 +116,7 @@ func TestForwardPairBitExact(t *testing.T) {
 				compareTreePlanes(t, label+" quad vis", refA, qa)
 				compareTreePlanes(t, label+" quad ir", refB, qb)
 				if qK.Elapsed() != refFwd {
-					t.Fatalf("%s: quad forward modeled %v, unfused %v", label, qK.Elapsed(), refFwd)
+					t.Fatalf("%s: quad forward modeled %v, reference %v", label, qK.Elapsed(), refFwd)
 				}
 				recRef, err := refDT.Inverse(refA)
 				if err != nil {
@@ -128,7 +126,7 @@ func TestForwardPairBitExact(t *testing.T) {
 				// tree planes (the c2q float roundtrip the fused rule
 				// kernels reproduce per element). Feed those exact quads to
 				// the fused inverse: its blocked synthesis must reconstruct
-				// them bit-identically to the unfused column-at-a-time path.
+				// them bit-identically to the reference loops.
 				for c := 0; c < numTrees; c++ {
 					for lv := 0; lv < levels; lv++ {
 						for bi := 0; bi < 3; bi++ {
@@ -142,8 +140,11 @@ func TestForwardPairBitExact(t *testing.T) {
 				}
 				compareFrames(t, label+" reconstruction", recRef, recQ)
 				if refK.Elapsed()-refFwd != qK.Elapsed()-refFwd {
-					t.Fatalf("%s: fused inverse modeled %v, unfused %v",
+					t.Fatalf("%s: fused inverse modeled %v, reference %v",
 						label, qK.Elapsed()-refFwd, refK.Elapsed()-refFwd)
+				}
+				if !sameLedger(refK, qK) {
+					t.Fatalf("%s: fused inverse instruction ledger differs", label)
 				}
 				for _, w := range []*kernels.Workers{refW, cW, qW} {
 					if w != nil {
@@ -156,7 +157,7 @@ func TestForwardPairBitExact(t *testing.T) {
 }
 
 // TestForwardPairFallback pins the safe path for kernels without tile
-// compute: ForwardPairInto silently degrades to two unfused forwards.
+// compute: ForwardPairInto runs two reference forwards.
 func TestForwardPairFallback(t *testing.T) {
 	x := NewXfm(signal.RefKernel{})
 	if x.TileCapable() {

@@ -7,7 +7,10 @@ import (
 )
 
 // Tiled 2-D passes: the separable wavelet levels restructured as
-// cache-blocked tile tasks over a kernels.Workers pool.
+// cache-blocked tile tasks over a kernels.Workers pool. Every engine with
+// tile kernels runs these at any worker count (a 1-worker pool runs the
+// tiles inline); the sequential loops in dwt2d.go are the reference they
+// are tested against.
 //
 // Every pass follows the kernel engine's determinism contract: the
 // parallel region performs only pure compute (padding, gathers, the
@@ -55,10 +58,19 @@ func (x *Xfm) forwardRowsTiled(bank *Bank, src, dst *frame.Frame, w, h, mw int) 
 	}
 }
 
-// fwdColsTask runs the vertical analysis pass: column cx of src gathers
-// into per-worker scratch, filters, and scatters into ll/lh (left half)
-// or hl/hh (right half).
-type fwdColsTask struct {
+// colBlock is the column-block width of the vertical passes: enough
+// columns per block that the gather reads and the scatter writes sweep
+// whole cache lines of the row-major planes, while the block staging (one
+// input block plus the subband blocks) stays cache-resident.
+const colBlock = 8
+
+// fwdColsBlkTask runs the vertical analysis pass: a block of columns of
+// src gathers line-sequentially into per-worker staging, each column pads
+// and filters, and the lowpass/highpass outputs scatter a cache-line-wide
+// block at a time into ll/lh (left half) or hl/hh (right half). Per
+// column the filter inputs and outputs are the sequential loop's; only
+// the data movement is blocked.
+type fwdColsBlkTask struct {
 	x              *Xfm
 	bank           *Bank
 	src            *frame.Frame
@@ -66,45 +78,70 @@ type fwdColsTask struct {
 	w, h, mw, mh   int
 }
 
-func (t *fwdColsTask) Tile(lo, hi, worker int) {
+func (t *fwdColsBlkTask) Tile(lo, hi, worker int) {
+	if lo < t.mw {
+		end := hi
+		if end > t.mw {
+			end = t.mw
+		}
+		t.tileHalf(lo, end, worker, t.ll, t.lh, 0)
+	}
+	if hi > t.mw {
+		start := lo
+		if start < t.mw {
+			start = t.mw
+		}
+		t.tileHalf(start, hi, worker, t.hl, t.hh, t.mw)
+	}
+}
+
+func (t *fwdColsBlkTask) tileHalf(lo, hi, worker int, dstLo, dstHi []float32, off int) {
 	x := t.x
 	ws := &x.ws[worker]
-	col := ws.col.buf[:t.h]
-	cl := ws.lo.buf[:t.mh]
-	ch := ws.hi.buf[:t.mh]
-	for cx := lo; cx < hi; cx++ {
-		for y := 0; y < t.h; y++ {
-			col[y] = t.src.Pix[y*t.w+cx]
+	w, h, mw, mh := t.w, t.h, t.mw, t.mh
+	blk := ws.colBlk.buf[:colBlock*h]
+	bLo := ws.bLoA.buf[:colBlock*mh]
+	bHi := ws.bHiA.buf[:colBlock*mh]
+	for cx0 := lo; cx0 < hi; cx0 += colBlock {
+		nb := hi - cx0
+		if nb > colBlock {
+			nb = colBlock
 		}
-		px := kernels.PadPeriodic(col, ws.px.buf)
-		x.tile.AnalyzeTile(&t.bank.AL, &t.bank.AH, px, cl, ch)
-		if cx < t.mw {
-			for y := 0; y < t.mh; y++ {
-				t.ll[y*t.mw+cx] = cl[y]
-				t.lh[y*t.mw+cx] = ch[y]
+		for y := 0; y < h; y++ {
+			row := t.src.Pix[y*w+cx0 : y*w+cx0+nb]
+			for j := 0; j < nb; j++ {
+				blk[j*h+y] = row[j]
 			}
-		} else {
-			for y := 0; y < t.mh; y++ {
-				t.hl[y*t.mw+cx-t.mw] = cl[y]
-				t.hh[y*t.mw+cx-t.mw] = ch[y]
+		}
+		for j := 0; j < nb; j++ {
+			px := kernels.PadPeriodic(blk[j*h:(j+1)*h], ws.px.buf)
+			x.tile.AnalyzeTile(&t.bank.AL, &t.bank.AH, px, bLo[j*mh:(j+1)*mh], bHi[j*mh:(j+1)*mh])
+		}
+		for y := 0; y < mh; y++ {
+			base := y*mw + cx0 - off
+			dLo := dstLo[base : base+nb]
+			dHi := dstHi[base : base+nb]
+			for j := 0; j < nb; j++ {
+				dLo[j] = bLo[j*mh+y]
+				dHi[j] = bHi[j*mh+y]
 			}
 		}
 	}
 }
 
-// forwardColsTiled dispatches the vertical analysis pass and replays its
+// forwardColsBlk dispatches the vertical analysis pass and replays its
 // charges: per column, the gather, the pad, the kernel row and the
 // scatter.
-func (x *Xfm) forwardColsTiled(bank *Bank, src *frame.Frame, ll, lh, hl, hh []float32, w, h, mw, mh int) {
+func (x *Xfm) forwardColsBlk(bank *Bank, src *frame.Frame, ll, lh, hl, hh []float32, w, h, mw, mh int) {
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].col.grow(x.pool, h)
 		ws[i].px.grow(x.pool, h+signal.TapCount)
-		ws[i].lo.grow(x.pool, mh)
-		ws[i].hi.grow(x.pool, mh)
+		ws[i].colBlk.grow(x.pool, colBlock*h)
+		ws[i].bLoA.grow(x.pool, colBlock*mh)
+		ws[i].bHiA.grow(x.pool, colBlock*mh)
 	}
-	x.fwdCols = fwdColsTask{x: x, bank: bank, src: src, ll: ll, lh: lh, hl: hl, hh: hh, w: w, h: h, mw: mw, mh: mh}
-	x.W.Run(w, kernels.Grain(w, 8*h, x.W.N()), &x.fwdCols)
+	x.fwdColsK = fwdColsBlkTask{x: x, bank: bank, src: src, ll: ll, lh: lh, hl: hl, hh: hh, w: w, h: h, mw: mw, mh: mh}
+	x.W.Run(w, kernels.Grain(w, 8*h, x.W.N()), &x.fwdColsK)
 	for cx := 0; cx < w; cx++ {
 		x.chargeCPU(h)
 		x.chargeCPU(h + signal.TapCount)
@@ -113,10 +150,12 @@ func (x *Xfm) forwardColsTiled(bank *Bank, src *frame.Frame, ll, lh, hl, hh []fl
 	}
 }
 
-// invColsTask runs one half of the vertical synthesis pass: column cx of
-// the lo/hi subband planes gathers, pads, synthesizes and
-// delay-compensates into column cx+dstOff of dst.
-type invColsTask struct {
+// invColsBlkTask runs one half of the vertical synthesis pass: a block of
+// lo/hi subband columns gathers line-sequentially, each column pads,
+// synthesizes and delay-compensates exactly as Synthesize1D does, and the
+// reconstructed block scatters line-sequentially into column cx+dstOff of
+// dst.
+type invColsBlkTask struct {
 	x                    *Xfm
 	bank                 *Bank
 	loP, hiP             []float32
@@ -124,44 +163,60 @@ type invColsTask struct {
 	w, h, mw, mh, dstOff int
 }
 
-func (t *invColsTask) Tile(lo, hi, worker int) {
+func (t *invColsBlkTask) Tile(lo, hi, worker int) {
 	x := t.x
 	ws := &x.ws[worker]
-	loCol := ws.col.buf[:t.mh]
-	hiCol := ws.hiCol.buf[:t.mh]
-	y := ws.y.buf[:t.h]
-	y2 := ws.y2.buf[:t.h]
-	for cx := lo; cx < hi; cx++ {
-		for yy := 0; yy < t.mh; yy++ {
-			loCol[yy] = t.loP[yy*t.mw+cx]
-			hiCol[yy] = t.hiP[yy*t.mw+cx]
+	w, h, mw, mh := t.w, t.h, t.mw, t.mh
+	loBlk := ws.colBlk.buf[:colBlock*mh]
+	hiBlk := ws.bLoA.buf[:colBlock*mh]
+	yBlk := ws.bHiA.buf[:colBlock*h]
+	y := ws.y.buf[:h]
+	for cx0 := lo; cx0 < hi; cx0 += colBlock {
+		nb := hi - cx0
+		if nb > colBlock {
+			nb = colBlock
 		}
-		plo := kernels.PadPeriodicPairs(loCol, ws.plo.buf)
-		phi := kernels.PadPeriodicPairs(hiCol, ws.phi.buf)
-		x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
-		signal.Rotate(y2, y, t.bank.delay)
-		for yy := 0; yy < t.h; yy++ {
-			t.dst.Pix[yy*t.w+cx+t.dstOff] = y2[yy]
+		for yy := 0; yy < mh; yy++ {
+			base := yy*mw + cx0
+			lrow := t.loP[base : base+nb]
+			hrow := t.hiP[base : base+nb]
+			for j := 0; j < nb; j++ {
+				loBlk[j*mh+yy] = lrow[j]
+				hiBlk[j*mh+yy] = hrow[j]
+			}
+		}
+		for j := 0; j < nb; j++ {
+			plo := kernels.PadPeriodicPairs(loBlk[j*mh:(j+1)*mh], ws.plo.buf)
+			phi := kernels.PadPeriodicPairs(hiBlk[j*mh:(j+1)*mh], ws.phi.buf)
+			x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
+			signal.Rotate(yBlk[j*h:(j+1)*h], y, t.bank.delay)
+		}
+		for yy := 0; yy < h; yy++ {
+			base := yy*w + cx0 + t.dstOff
+			drow := t.dst.Pix[base : base+nb]
+			for j := 0; j < nb; j++ {
+				drow[j] = yBlk[j*h+yy]
+			}
 		}
 	}
 }
 
-// inverseColsTiled dispatches one half of the vertical synthesis pass and
-// replays its charges: per column, the gather, the pads, the kernel row,
-// the delay rotation and the scatter — the exact sequence the sequential
-// loop charges through Synthesize1D.
-func (x *Xfm) inverseColsTiled(bank *Bank, loP, hiP []float32, dst *frame.Frame, w, h, mw, mh, dstOff int) {
+// inverseColsBlk dispatches the blocked half-pass and replays its
+// charges: per column, the gather, the pads, the kernel row, the delay
+// rotation and the scatter — the exact sequence the sequential loop
+// charges through Synthesize1D.
+func (x *Xfm) inverseColsBlk(bank *Bank, loP, hiP []float32, dst *frame.Frame, w, h, mw, mh, dstOff int) {
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].col.grow(x.pool, mh)
-		ws[i].hiCol.grow(x.pool, mh)
+		ws[i].colBlk.grow(x.pool, colBlock*mh)
+		ws[i].bLoA.grow(x.pool, colBlock*mh)
+		ws[i].bHiA.grow(x.pool, colBlock*h)
 		ws[i].plo.grow(x.pool, mh+signal.SynthesisPad)
 		ws[i].phi.grow(x.pool, mh+signal.SynthesisPad)
 		ws[i].y.grow(x.pool, h)
-		ws[i].y2.grow(x.pool, h)
 	}
-	x.invCols = invColsTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
-	x.W.Run(mw, kernels.Grain(mw, 16*mh, x.W.N()), &x.invCols)
+	x.invColsK = invColsBlkTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
+	x.W.Run(mw, kernels.Grain(mw, 16*mh, x.W.N()), &x.invColsK)
 	for cx := 0; cx < mw; cx++ {
 		x.chargeCPU(2 * mh)
 		x.chargeCPU(2 * (mh + signal.SynthesisPad))
@@ -272,14 +327,16 @@ func (t *accTask) Tile(lo, hi, _ int) {
 	}
 }
 
-// scaleTask scales dst by the tree-average factor per pixel.
-type scaleTask struct {
-	dst []float32
+// accScaleTask folds the four-tree average into the final accumulation:
+// per element the same rounded float32 add then rounded multiply the
+// separate accumulate and scale passes perform, in one traversal.
+type accScaleTask struct {
+	dst, src []float32
 }
 
-func (t *scaleTask) Tile(lo, hi, _ int) {
-	dst := t.dst
+func (t *accScaleTask) Tile(lo, hi, _ int) {
+	dst, src := t.dst, t.src
 	for i := lo; i < hi; i++ {
-		dst[i] *= 1.0 / numTrees
+		dst[i] = (dst[i] + src[i]) * (1.0 / numTrees)
 	}
 }

@@ -60,15 +60,12 @@ func (s *scratch) release() {
 }
 
 // tileScratch is the private working set of one tile worker: padded
-// inputs, gathered columns and synthesis staging, sized before each
-// parallel region (while single-threaded) so tile bodies never touch the
-// pool.
+// inputs, synthesis staging and the column-block staging of the vertical
+// passes (a block of gathered columns and the per-bank subband outputs
+// awaiting the blocked scatter), sized before each parallel region (while
+// single-threaded) so tile bodies never touch the pool.
 type tileScratch struct {
-	px, plo, phi, y, y2, col, hiCol, lo, hi scratch
-
-	// Column-block staging for the fused dual-tree vertical pass: a block
-	// of gathered input columns and the per-bank subband outputs awaiting
-	// the blocked scatter (see fwdColsDualTask).
+	px, plo, phi, y, y2            scratch
 	colBlk, bLoA, bHiA, bLoB, bHiB scratch
 }
 
@@ -78,10 +75,6 @@ func (t *tileScratch) release() {
 	t.phi.release()
 	t.y.release()
 	t.y2.release()
-	t.col.release()
-	t.hiCol.release()
-	t.lo.release()
-	t.hi.release()
 	t.colBlk.release()
 	t.bLoA.release()
 	t.bHiA.release()
@@ -109,24 +102,20 @@ type Xfm struct {
 
 	// Reusable task boxes: passing pointers to these through the Task
 	// interface keeps tiled dispatch at zero allocations per frame. The B
-	// variants are the second stream of the fused dual-stream traversal,
+	// variants are the second stream of the dual-stream forward traversal,
 	// which pairs two bodies per dispatch.
 	fwdRows     fwdRowsTask
 	fwdRowsB    fwdRowsTask
-	fwdCols     fwdColsTask
-	fwdColsB    fwdColsTask
 	fwdColsD    fwdColsDualTask
 	fwdColsDB   fwdColsDualTask
 	fwdColsK    fwdColsBlkTask
 	fwdColsKB   fwdColsBlkTask
 	pair        pairTask
-	invCols     invColsTask
 	invColsK    invColsBlkTask
 	invRows     invRowsTask
 	q2c         q2cTask
 	c2q         c2qTask
 	pixAcc      accTask
-	pixScale    scaleTask
 	pixAccScale accScaleTask
 }
 
@@ -167,15 +156,11 @@ func (x *Xfm) ReleaseScratch() {
 }
 
 // TileCapable reports whether the kernel offers concurrency-safe tile
-// compute — the legality gate for operator fusion as well as tiled
-// dispatch. Engines that veto tiling via TilingEnabled report false.
+// compute, which selects the tile tasks for every 2-D pass (a 1-worker
+// pool runs them inline) and the fused dual-stream cascade. Engines that
+// veto tiling via TilingEnabled report false and run the sequential
+// loops, the reference the tile tasks must match bit for bit.
 func (x *Xfm) TileCapable() bool { return x.tile != nil }
-
-// tiledKernels reports whether 2-D kernel passes should run tiled: the
-// kernel must offer concurrency-safe tile compute and the pool must have
-// real parallelism. The sequential path is the reference; the tiled path
-// must match it bit for bit.
-func (x *Xfm) tiledKernels() bool { return x.tile != nil && x.W.N() > 1 }
 
 // workspaces returns the first n per-worker scratch sets, growing the
 // table on first use.
