@@ -175,17 +175,18 @@
 // instruction ledger are bit-for-bit identical at every setting.
 //
 // The tile-capable engines (ARM, fast NEON) run one fast data path at
-// every worker count and frame size. On the sequential executor the vis
-// and ir forward transforms run as one dual-stream traversal (shared row
-// passes, blocked column gathers covering both streams), the complex
-// conversion + fusion rule + inverse conversion run per tile directly on
-// quad-layout subbands for the built-in rules, so the per-level complex
+// every worker count and frame size, on both executors (the sequential
+// executor runs the pipelined executor's station bodies in order). Each
+// source frame runs one tiled forward cascade: level-1 row passes shared
+// by the two tree combinations of a row tree, column passes that gather
+// whole eight-column blocks once for both column trees. For the built-in
+// rules the complex conversion + fusion rule + inverse conversion run
+// per tile directly on quad-layout subbands, so the per-level complex
 // band planes are never materialized, and the synthesis columns move
-// through the same cache-line-sized blocks; the pipelined executor's
-// stations run the same tile tasks one stream at a time. The sequential
-// loops stay as the reference: the emulated NEON, FPGA and adaptive
-// engines run them, and the fast path matches them bit for bit. The
-// wall-clock record against the scalar baseline is generated by:
+// through the same cache-line-sized blocks. The sequential loops stay as
+// the reference: the emulated NEON, FPGA and adaptive engines run them,
+// and the fast path matches them bit for bit. The wall-clock record
+// against the scalar baseline is generated by:
 //
 //	go run ./cmd/fusionbench -exp kernel-speedup
 //

@@ -388,7 +388,7 @@ func (p *Pool) Drain() {
 	}
 	p.pooledBytes = 0
 	outstanding := p.outstanding
-	kids := append([]*Pool(nil), p.children...)
+	kids := p.children
 	if p.cond != nil {
 		p.cond.Broadcast()
 	}
@@ -409,18 +409,20 @@ func (p *Pool) Drain() {
 	}
 }
 
-// detach removes a drained sub-pool from the child list.
+// detach removes a drained sub-pool from the child list. The list is
+// copy-on-write: Stats, Outstanding and Drain walk a slice header taken
+// under the lock after releasing it, so a published backing array is
+// never written again (Sub's append only writes past every published
+// length).
 func (p *Pool) detach(c *Pool) {
 	p.mu.Lock()
-	for i, k := range p.children {
-		if k == c {
-			last := len(p.children) - 1
-			p.children[i] = p.children[last]
-			p.children[last] = nil
-			p.children = p.children[:last]
-			break
+	kids := make([]*Pool, 0, len(p.children))
+	for _, k := range p.children {
+		if k != c {
+			kids = append(kids, k)
 		}
 	}
+	p.children = kids
 	p.mu.Unlock()
 }
 

@@ -297,3 +297,52 @@ func TestHitRateBeforeFirstAcquire(t *testing.T) {
 		t.Fatalf("after miss+hit HitRate = %v, want 0.5", got)
 	}
 }
+
+// TestConcurrentSubPoolChurn retires sub-pools (Drain detaches them from
+// the parent's child list) while other goroutines walk that list through
+// Stats and Outstanding — the farm's telemetry scrape racing finishing
+// streams. Run it under -race.
+func TestConcurrentSubPoolChurn(t *testing.T) {
+	root := New(Options{})
+	var churn, scrape sync.WaitGroup
+	stop := make(chan struct{})
+	scrape.Add(1)
+	go func() {
+		defer scrape.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := root.Stats(); st.Outstanding < 0 {
+				t.Errorf("negative outstanding %d", st.Outstanding)
+			}
+			if n := root.Outstanding(); n < 0 {
+				t.Errorf("negative outstanding %d", n)
+			}
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := 0; i < 200; i++ {
+				sub := root.Sub(0)
+				f, err := sub.Get(8, 8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f.Release()
+				sub.Drain()
+			}
+		}()
+	}
+	churn.Wait()
+	close(stop)
+	scrape.Wait()
+	if err := root.CheckLeaks(); err != nil {
+		t.Fatal(err)
+	}
+}

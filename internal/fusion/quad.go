@@ -23,14 +23,16 @@ const invSqrt2 = wavelet.InvSqrt2
 
 // quadRule is the fused fast path the built-in rules provide: fuse detail
 // band pair (bi, 5-bi) of one level straight from quad layout to quad
-// layout. Custom rules without it keep the combine/distribute path
-// (dual-stream loop fusion still applies).
+// layout. Custom rules without it keep the combine/distribute path over
+// complex bands (the tiled forward cascade still applies).
 type quadRule interface {
 	fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid)
 }
 
 // CanFuseRule reports whether rule has a fused quad kernel, which
-// selects the quad-layout rule path on tile-capable engines.
+// selects the quad-layout rule path on tile-capable engines: both
+// forwards run wavelet.DTCWT.ForwardQuadInto, FuseQuads fuses and
+// InverseFused reconstructs, on either pipeline executor.
 func CanFuseRule(rule Rule) bool {
 	_, ok := rule.(quadRule)
 	return ok

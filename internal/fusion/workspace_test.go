@@ -33,7 +33,7 @@ func buildPyramidPair(t testing.TB, w, h, levels int, seed int64) (a, b, dst *wa
 	}
 	a, b = mk(), mk()
 	dst = &wavelet.DTPyramid{}
-	if err := dt.ShapePyramid(dst, w, h, levels); err != nil {
+	if err := dt.ShapePyramid(dst, w, h, levels, true); err != nil {
 		t.Fatal(err)
 	}
 	return a, b, dst

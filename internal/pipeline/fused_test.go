@@ -11,6 +11,7 @@ import (
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/frame"
 	"zynqfusion/internal/fusion"
+	"zynqfusion/internal/sim"
 	"zynqfusion/internal/wavelet"
 )
 
@@ -147,91 +148,116 @@ func (customRule) FuseLL(dst, a, b *frame.Frame) {
 }
 
 // TestPipelinedFastMatchesReference: the pipelined executor's stations
-// run the single-stream tile tasks on a fast engine. At depth 2 its
-// pixels must match the sequential executor on the reference loops, and
-// its StageTimes and NEON ledger must match the same pipelined schedule
-// on the reference loops, frame after frame.
+// run the tiled forward on a fast engine, in quad layout for rules with a
+// quad kernel and in complex-band layout for a custom rule. At depth 2
+// its pixels must match the sequential executor on the reference loops,
+// and its StageTimes, per-station spans and NEON ledger must match the
+// same pipelined schedule on the reference loops, frame after frame.
 func TestPipelinedFastMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sc := camera.NewScene(97, 71, 11)
 	vis, ir := sc.Visible(), sc.Thermal()
-	cfg := Config{Levels: 3, IncludeIO: true, KernelWorkers: 1}
-	want, _ := fusePair(t, engine.NewNEONEmulated(false), cfg, vis, ir)
-	defer want.Release()
-	for _, workers := range []int{1, 4} {
-		cfg.KernelWorkers = workers
-		refEng, fastEng := engine.NewNEONEmulated(false), engine.NewNEON(false)
-		refPP, err := NewPipelined(New(refEng, cfg), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fastPP, err := NewPipelined(New(fastEng, cfg), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for frameN := 0; frameN < 3; frameN++ {
-			label := fmt.Sprintf("w%d frame %d", workers, frameN)
-			refRec, refSt, err := refPP.FuseFrames(vis, ir)
+	for _, rule := range []fusion.Rule{nil, fusion.Average{}, customRule{}} {
+		cfg := Config{Levels: 3, Rule: rule, IncludeIO: true, KernelWorkers: 1}
+		want, _ := fusePair(t, engine.NewNEONEmulated(false), cfg, vis, ir)
+		for _, workers := range []int{1, 2, 4} {
+			cfg.KernelWorkers = workers
+			refEng, fastEng := engine.NewNEONEmulated(false), engine.NewNEON(false)
+			refPP, err := NewPipelined(New(refEng, cfg), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotRec, gotSt, err := fastPP.FuseFrames(vis, ir)
+			fastPP, err := NewPipelined(New(fastEng, cfg), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertIdentical(t, label, want, gotRec, refSt, gotSt)
-			assertSameLedger(t, label, refEng, fastEng)
-			refRec.Release()
-			gotRec.Release()
+			if fastPP.Fuser().quad != fusion.CanFuseRule(fastPP.Config().Rule) {
+				t.Fatalf("%s: fast engine quad path %v", fastPP.Config().Rule.Name(), fastPP.Fuser().quad)
+			}
+			var refSpans, gotSpans []sim.Time
+			refPP.SetHooks(Hooks{StageEnd: func(_ Stage, _ int64, d sim.Time) { refSpans = append(refSpans, d) }})
+			fastPP.SetHooks(Hooks{StageEnd: func(_ Stage, _ int64, d sim.Time) { gotSpans = append(gotSpans, d) }})
+			for frameN := 0; frameN < 3; frameN++ {
+				label := fmt.Sprintf("%s w%d frame %d", fastPP.Config().Rule.Name(), workers, frameN)
+				refRec, refSt, err := refPP.FuseFrames(vis, ir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRec, gotSt, err := fastPP.FuseFrames(vis, ir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdentical(t, label, want, gotRec, refSt, gotSt)
+				assertSameLedger(t, label, refEng, fastEng)
+				if fmt.Sprint(refSpans) != fmt.Sprint(gotSpans) {
+					t.Fatalf("%s: station spans diverge:\nref %v\ngot %v", label, refSpans, gotSpans)
+				}
+				refRec.Release()
+				gotRec.Release()
+			}
+			refPP.Close()
+			fastPP.Close()
 		}
+		want.Release()
 	}
 }
 
 // TestFusedPoolCapSweep sweeps the frame-store cap across the fast
-// path's working set: every frame either fuses to the uncapped pixels or
-// fails with ErrOverCap — never a panic — and Close always returns the
-// arena to zero outstanding leases.
+// path's working set, for the sequential executor and the pipelined one
+// at depth 2: every frame either fuses to the uncapped pixels or fails
+// with ErrOverCap — never a panic — and Close always returns the arena
+// to zero outstanding leases.
 func TestFusedPoolCapSweep(t *testing.T) {
 	sc := camera.NewScene(96, 72, 5)
 	vis, ir := sc.Visible(), sc.Thermal()
 	cfg := Config{Levels: 3}
 	want, _ := fusePair(t, engine.NewNEON(false), cfg, vis, ir)
 	defer want.Release()
-	var fused, refused int
-	for capBytes := int64(4 << 10); capBytes <= 2<<20; capBytes += 4 << 10 {
-		pool := bufpool.New(bufpool.Options{CapBytes: capBytes})
-		c := cfg
-		c.Pool = pool
-		fu := New(engine.NewNEON(false), c)
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("cap %d B: panic: %v", capBytes, r)
+	for _, depth := range []int{0, 2} { // 0: the sequential Fuser
+		var fused, refused int
+		for capBytes := int64(4 << 10); capBytes <= 2<<20; capBytes += 4 << 10 {
+			pool := bufpool.New(bufpool.Options{CapBytes: capBytes})
+			c := cfg
+			c.Pool = pool
+			fu := New(engine.NewNEON(false), c)
+			fuse := fu.FuseFrames
+			if depth > 0 {
+				pp, err := NewPipelined(fu, depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fuse = pp.FuseFrames
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("depth %d cap %d B: panic: %v", depth, capBytes, r)
+					}
+				}()
+				rec, _, err := fuse(vis, ir)
+				switch {
+				case errors.Is(err, bufpool.ErrOverCap):
+					refused++
+				case err != nil:
+					t.Fatalf("depth %d cap %d B: unexpected error: %v", depth, capBytes, err)
+				default:
+					fused++
+					for i := range want.Pix {
+						if rec.Pix[i] != want.Pix[i] {
+							t.Fatalf("depth %d cap %d B: pixel %d diverges", depth, capBytes, i)
+						}
+					}
+					rec.Release()
 				}
 			}()
-			rec, _, err := fu.FuseFrames(vis, ir)
-			switch {
-			case errors.Is(err, bufpool.ErrOverCap):
-				refused++
-			case err != nil:
-				t.Fatalf("cap %d B: unexpected error: %v", capBytes, err)
-			default:
-				fused++
-				for i := range want.Pix {
-					if rec.Pix[i] != want.Pix[i] {
-						t.Fatalf("cap %d B: pixel %d diverges", capBytes, i)
-					}
-				}
-				rec.Release()
+			fu.Close()
+			if n := pool.Stats().Outstanding; n != 0 {
+				t.Fatalf("depth %d cap %d B: %d leases outstanding after Close", depth, capBytes, n)
 			}
-		}()
-		fu.Close()
-		if n := pool.Stats().Outstanding; n != 0 {
-			t.Fatalf("cap %d B: %d leases outstanding after Close", capBytes, n)
 		}
-	}
-	if fused == 0 || refused == 0 {
-		t.Fatalf("sweep must cover both outcomes: %d fused, %d refused", fused, refused)
+		if fused == 0 || refused == 0 {
+			t.Fatalf("depth %d: sweep must cover both outcomes: %d fused, %d refused", depth, fused, refused)
+		}
 	}
 }
 

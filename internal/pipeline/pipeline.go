@@ -143,10 +143,15 @@ type Fuser struct {
 	// transform frame stores: the two source pyramids and the fused one.
 	pa, pb, fused *wavelet.DTPyramid
 
-	// quad selects the fused rule path: the engine runs the tiled
-	// dual-stream forward and the rule has a quad kernel, so combine, rule
-	// and distribute execute in quad (tree) layout.
+	// quad selects the quad rule path: the engine runs the tiled forward
+	// and the rule has a quad kernel, so combine, rule and distribute
+	// execute in quad (tree) layout.
 	quad bool
+
+	// stages are the station bodies both executors run (stageGraph), and
+	// job the per-call state they hand along.
+	stages []Stage
+	job    frameJob
 }
 
 // New returns a Fuser bound to the engine.
@@ -171,6 +176,7 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 		pb:      &wavelet.DTPyramid{},
 		fused:   &wavelet.DTPyramid{},
 		quad:    x.TileCapable() && fusion.CanFuseRule(cfg.Rule),
+		stages:  stageGraph(cfg.IncludeIO),
 	}
 }
 
@@ -225,74 +231,26 @@ func validatePair(vis, ir *frame.Frame, levels int) error {
 // reuse). All intermediate state lives in workspace pyramids reused frame
 // over frame, so the steady-state call allocates nothing.
 //
-// The stage bodies below are mirrored by the pipelined executor's
-// stageGraph (pipelined.go), which drains the engine per station instead
-// of per Fig. 2 stage; any charge added or retuned here must be applied
-// there too, or the depth >= 2 cost parity breaks while the depth-1
-// golden tests stay green.
+// It runs the pipelined executor's station bodies (stageGraph) in order,
+// draining the engine at the Fig. 2 stage boundaries: the two forward
+// stations drain together as the one Forward stage.
 func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, error) {
-	levels := f.cfg.Levels
-	if err := validatePair(vis, ir, levels); err != nil {
+	if err := validatePair(vis, ir, f.cfg.Levels); err != nil {
 		return nil, StageTimes{}, err
 	}
 	var st StageTimes
-	px := float64(vis.W * vis.H)
 	f.drain() // discard anything pending
 	if ld, ok := f.eng.(laneDrainer); ok {
 		ld.DrainLanes() // discard pending lane accounting with it
 	}
-
-	if f.cfg.IncludeIO {
-		f.eng.ChargeCPUCycles(2 * px * engine.CaptureCyclesPerPixel)
-		st.Capture = f.drain()
-	}
-
-	// Tile-capable engines run the fused cascade: one dual-stream forward
-	// traversal, the rule in quad layout, and the inverse straight from
-	// it. Every stage body replays the reference loops' modeled charges in
-	// reference order before its drain, so each stage's time — and the
-	// float64 cycle accumulators behind it — matches the sequential path
-	// bit for bit. The q2c combine keeps its Forward attribution and the
-	// c2q distribute its Inverse attribution even when the quad rule
-	// absorbs their compute. Other engines run the reference loops.
-	if err := f.dt.ForwardPairInto(f.pa, f.pb, vis, ir, levels, !f.quad); err != nil {
-		return nil, st, err
-	}
-	st.Forward = f.drain()
-
-	if f.quad {
-		if err := f.dt.ShapeQuadPyramid(f.fused, vis.W, vis.H, levels); err != nil {
+	f.job = frameJob{px: float64(vis.W * vis.H), vis: vis, ir: ir}
+	for _, s := range f.stages {
+		if err := s.run(f, &f.job); err != nil {
 			return nil, st, err
 		}
-		if err := fusion.FuseQuads(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb); err != nil {
-			return nil, st, err
+		if s.Name != "forward-vis" {
+			*stageSlot(&st, s.Name) = f.drain()
 		}
-	} else {
-		if err := f.dt.ShapePyramid(f.fused, vis.W, vis.H, levels); err != nil {
-			return nil, st, err
-		}
-		if err := fusion.FuseIntoWorkspace(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb); err != nil {
-			return nil, st, err
-		}
-	}
-	f.eng.ChargeCPUCycles(px * engine.FusionRuleCyclesPerPixel)
-	st.Fuse = f.drain()
-
-	var rec *frame.Frame
-	var err error
-	if f.quad {
-		rec, err = f.dt.InverseFused(f.fused)
-	} else {
-		rec, err = f.dt.Inverse(f.fused)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	st.Inverse = f.drain()
-
-	if f.cfg.IncludeIO {
-		f.eng.ChargeCPUCycles(px * engine.DisplayCyclesPerPixel)
-		st.Display = f.drain()
 	}
 
 	st.Total = st.Capture + st.Forward + st.Fuse + st.Inverse + st.Display
@@ -301,7 +259,7 @@ func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, erro
 	if ld, ok := f.eng.(laneDrainer); ok {
 		st.CPUBusy, st.FPGABusy, st.Overlap = ld.DrainLanes()
 	}
-	return rec, st, nil
+	return f.job.rec, st, nil
 }
 
 // energyFor converts a span to energy at the engine's mode power. The

@@ -149,8 +149,10 @@ func (p *DTPyramid) Release() {
 }
 
 // shaped reports whether the pyramid is already structured for a w x h
-// input at the given depth.
-func (p *DTPyramid) shaped(w, h, levels int) bool {
+// input at the given depth: tree planes and residuals, plus the complex
+// band planes when complexBands is set (a quad-layout workspace may carry
+// them or not).
+func (p *DTPyramid) shaped(w, h, levels int, complexBands bool) bool {
 	if p.W != w || p.H != h || len(p.Levels) != levels {
 		return false
 	}
@@ -159,7 +161,7 @@ func (p *DTPyramid) shaped(w, h, levels int) bool {
 			return false
 		}
 	}
-	return p.Levels[0].Bands[0] != nil
+	return !complexBands || p.Levels[0].Bands[0] != nil
 }
 
 // CloneStructure deep-copies the pyramid (bands, residuals and the
@@ -289,13 +291,17 @@ func (t *DTCWT) treeBanks(tree byte, levels int) []*Bank {
 // planes from the transform's pool: an already-matching pyramid is
 // returned untouched, so a per-frame workspace costs nothing in steady
 // state. The shaped pyramid carries the full inversion bookkeeping (banks
-// and crop sizes), making it a valid fusion destination for FuseInto even
-// before any forward transform has run through it.
-func (t *DTCWT) ShapePyramid(p *DTPyramid, w, h, levels int) error {
+// and crop sizes), making it a valid fusion destination even before any
+// forward transform has run through it. With complexBands set it also
+// carries the six complex band planes per level (FuseInto's
+// destination); without, only the quad (tree) planes and residuals the
+// quad rule path reads and writes (FuseQuads' destination, InverseFused's
+// input).
+func (t *DTCWT) ShapePyramid(p *DTPyramid, w, h, levels int, complexBands bool) error {
 	if levels < 1 || levels > MaxLevels(w, h) {
 		return fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, w, h)
 	}
-	if p.shaped(w, h, levels) {
+	if p.shaped(w, h, levels, complexBands) {
 		// Plane shapes are reusable as-is; refresh the bank bookkeeping in
 		// case the pyramid last ran under a transform with different banks.
 		for c := 0; c < numTrees; c++ {
@@ -323,6 +329,9 @@ func (t *DTCWT) ShapePyramid(p *DTPyramid, w, h, levels int) error {
 			return err
 		}
 		p.LLs[c] = p.trees[c].LL
+	}
+	if !complexBands {
+		return nil
 	}
 	cw, ch := w, h
 	for lv := 0; lv < levels; lv++ {
@@ -354,22 +363,53 @@ func (t *DTCWT) Forward(img *frame.Frame, levels int) (*DTPyramid, error) {
 // otherwise). Every coefficient of every plane is overwritten, so a reused
 // workspace is bit-for-bit a fresh transform. It returns p.
 func (t *DTCWT) ForwardInto(p *DTPyramid, img *frame.Frame, levels int) (*DTPyramid, error) {
-	if levels < 1 || levels > MaxLevels(img.W, img.H) {
-		return nil, fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, img.W, img.H)
-	}
-	if err := t.ShapePyramid(p, img.W, img.H, levels); err != nil {
+	if err := t.forwardInto(p, img, levels, true); err != nil {
 		return nil, err
 	}
-	pool := t.poolOr()
-	for c := 0; c < numTrees; c++ {
-		if err := forward2DInto(t.X, p.trees[c], img, levels, pool); err != nil {
-			return nil, err
-		}
-	}
-	for lv := 0; lv < levels; lv++ {
-		combineLevelInto(t.X, p.trees, lv, &p.Levels[lv])
+	return p, nil
+}
+
+// ForwardQuadInto is ForwardInto for the quad rule path: it writes the
+// quad (tree) planes and residuals and leaves the complex band planes
+// elided, since the fused combine+rule+distribute kernels read the trees
+// directly. The q2c combine's modeled charges are still issued, so the
+// modeled cost and the tree coefficients equal ForwardInto's.
+func (t *DTCWT) ForwardQuadInto(p *DTPyramid, img *frame.Frame, levels int) (*DTPyramid, error) {
+	if err := t.forwardInto(p, img, levels, false); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// forwardInto is the one forward cascade. Tile-capable engines run the
+// charge-free tiled body (forwardTiled) and replay its charges; other
+// engines run the per-tree reference loops, which charge as they go.
+// complexBands selects whether the trees are combined into complex
+// bands.
+func (t *DTCWT) forwardInto(p *DTPyramid, img *frame.Frame, levels int, complexBands bool) error {
+	if err := t.ShapePyramid(p, img.W, img.H, levels, complexBands); err != nil {
+		return err
+	}
+	x := t.X
+	if x.TileCapable() {
+		if err := t.forwardTiled(p, img, levels); err != nil {
+			return err
+		}
+		t.replayForwardCharges(img.W, img.H, levels)
+	} else {
+		for c := 0; c < numTrees; c++ {
+			if err := forwardCascade(x, p.trees[c], img, nil, 0, levels, t.poolOr(), forwardLevelInto); err != nil {
+				return err
+			}
+		}
+	}
+	if complexBands {
+		for lv := 0; lv < levels; lv++ {
+			combineLevelCompute(x, p.trees, lv, &p.Levels[lv])
+		}
+	}
+	t.chargeCombine(img.W, img.H, levels)
+	return nil
 }
 
 // Inverse reconstructs the frame from the pyramid. The complex bands are
@@ -447,23 +487,31 @@ const InvSqrt2 = 0.7071067811865476
 
 const invSqrt2 = InvSqrt2
 
-// combineLevelInto applies the q2c map to each detail band of one level,
-// writing into the pre-shaped bands of out:
+// combineLevelCompute applies the q2c map to each detail band of one
+// level, writing into the pre-shaped bands of out:
 //
 //	z1 = ((p - q) + i(r + s)) / sqrt2
 //	z2 = ((p + q) + i(s - r)) / sqrt2
 //
 // with p = AA, q = BB, r = AB, s = BA. The map is unitary, so
 // |z1|^2 + |z2|^2 = p^2 + q^2 + r^2 + s^2 and it is exactly invertible.
-func combineLevelInto(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
-	combineLevelCompute(x, trees, lv, out)
-	n := len(bandOf(trees[TreeAA], lv, 0).Pix)
+// Charge-free: chargeCombine issues the modeled cost.
+func combineLevelCompute(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
 	for bi := 0; bi < 3; bi++ {
-		x.chargeCPU(4 * n)
+		p := bandOf(trees[TreeAA], lv, bi)
+		q := bandOf(trees[TreeBB], lv, bi)
+		r := bandOf(trees[TreeAB], lv, bi)
+		s := bandOf(trees[TreeBA], lv, bi)
+		z1 := out.Bands[bi]
+		z2 := out.Bands[5-bi]
+		n := len(p.Pix)
+		x.q2c = q2cTask{p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix,
+			z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im}
+		x.W.Run(n, kernels.Grain(n, 32, x.W.N()), &x.q2c)
 	}
 }
 
-// distributeLevel applies c2q, the exact inverse of combineLevelInto,
+// distributeLevel applies c2q, the exact inverse of combineLevelCompute,
 // writing the (possibly fused) complex coefficients back into the four
 // trees.
 func distributeLevel(x *Xfm, trees [numTrees]*Decomp, l DTLevel, lv int) {

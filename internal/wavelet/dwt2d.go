@@ -145,27 +145,31 @@ func Forward2D(x *Xfm, rowBanks, colBanks []*Bank, img *frame.Frame, levels int)
 	if err := shapeDecomp(d, rowBanks, colBanks, img.W, img.H, levels, noPool); err != nil {
 		return nil, err
 	}
-	if err := forward2DInto(x, d, img, levels, noPool); err != nil {
+	if err := forwardCascade(x, d, img, nil, 0, levels, noPool, forwardLevelInto); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// forward2DInto runs the analysis cascade into a pre-shaped decomposition.
-// Intermediate lowpass planes (each level's input to the next) are scratch
-// leased from pool for the duration of the cascade, like the board's
-// transform frame stores; the final one lands in d.LL.
-func forward2DInto(x *Xfm, d *Decomp, img *frame.Frame, levels int, pool *bufpool.Pool) error {
-	cur := img
-	var curOwned *frame.Frame // pooled intermediate lowpass awaiting release
+// levelFunc runs one separable analysis level of img into ll and b:
+// forwardLevelInto (the reference loops, charging as they go) or
+// forwardLevelTiled (the charge-free tile tasks).
+type levelFunc func(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool) error
+
+// forwardCascade runs levels [from, levels) of d's analysis cascade on
+// cur, the level-from input (owned, when non-nil, is the pooled plane
+// backing cur, released once consumed). Intermediate lowpass planes (each
+// level's input to the next) are scratch leased from pool for the
+// duration of the cascade, like the board's transform frame stores; the
+// final one lands in d.LL.
+func forwardCascade(x *Xfm, d *Decomp, cur, owned *frame.Frame, from, levels int, pool *bufpool.Pool, level levelFunc) error {
 	release := func() {
-		if curOwned != nil {
-			curOwned.Release()
-			curOwned = nil
+		if owned != nil {
+			owned.Release()
+			owned = nil
 		}
 	}
-	for lv := 0; lv < levels; lv++ {
-		d.sizes[lv] = wh{cur.W, cur.H}
+	for lv := from; lv < levels; lv++ {
 		_, _, mw, mh := levelGeom(cur.W, cur.H)
 		ll := d.LL
 		if lv < levels-1 {
@@ -175,7 +179,7 @@ func forward2DInto(x *Xfm, d *Decomp, img *frame.Frame, levels int, pool *bufpoo
 				return err
 			}
 		}
-		if err := forwardLevelInto(x, d.RowBanks[lv], d.ColBanks[lv], cur, ll, d.Levels[lv], pool); err != nil {
+		if err := level(x, d.RowBanks[lv], d.ColBanks[lv], cur, ll, d.Levels[lv], pool); err != nil {
 			if lv < levels-1 {
 				ll.Release()
 			}
@@ -184,15 +188,16 @@ func forward2DInto(x *Xfm, d *Decomp, img *frame.Frame, levels int, pool *bufpoo
 		}
 		release()
 		if lv < levels-1 {
-			curOwned = ll
+			owned = ll
 		}
 		cur = ll
 	}
 	return nil
 }
 
-// forwardLevelInto performs one separable analysis level, writing the LL
-// subband into ll and the three detail subbands into b (all pre-shaped).
+// forwardLevelInto performs one separable analysis level with the
+// sequential reference loops, writing the LL subband into ll and the
+// three detail subbands into b (all pre-shaped).
 // Every sample of every output plane is written, so reused (uncleared)
 // pooled planes give bit-identical results to fresh zeroed ones.
 func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool) error {
@@ -211,14 +216,10 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 		}
 		return err
 	}
-	if x.TileCapable() {
-		x.forwardRowsTiled(rowBank, p, rowOut, w, h, mw)
-	} else {
-		for y := 0; y < h; y++ {
-			row := p.Row(y)
-			out := rowOut.Row(y)
-			x.Analyze1D(rowBank, row, out[:mw], out[mw:])
-		}
+	for y := 0; y < h; y++ {
+		row := p.Row(y)
+		out := rowOut.Row(y)
+		x.Analyze1D(rowBank, row, out[:mw], out[mw:])
 	}
 	if padOwned != nil {
 		padOwned.Release()
@@ -226,11 +227,6 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 
 	// Vertical pass on each column of both halves.
 	hl, lh, hh := b.HL, b.LH, b.HH
-	if x.TileCapable() {
-		x.forwardColsBlk(colBank, rowOut, ll.Pix, lh.Pix, hl.Pix, hh.Pix, w, h, mw, mh)
-		rowOut.Release()
-		return nil
-	}
 	col := growCol(x, h)
 	clo := x.lo.grow(x.pool, mh)
 	chi := x.hi.grow(x.pool, mh)

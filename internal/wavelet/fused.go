@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"errors"
-	"fmt"
 
 	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/frame"
@@ -10,15 +9,15 @@ import (
 	"zynqfusion/internal/signal"
 )
 
-// Operator-fused transform paths: the fast path of every tile-capable
-// engine. The fused forward runs the visible and infrared DT-CWTs as one
-// interleaved tiled traversal: the level-1 row passes are computed once
-// per row tree (the two tree combinations sharing a row tree repeat them
-// verbatim in the per-tree cascade), the level-1 column passes compute
-// both column trees from a single gather+pad, and every dispatch drives
-// both streams. The fused inverse consumes quad (tree) coefficients
-// written directly by the fused rule kernel, skipping the c2q
-// distribution pass.
+// The tiled forward cascade: the fast path of every tile-capable engine.
+// Each source frame is transformed on its own, as the board's wave engine
+// does with each frame store. At level 1 the row pass is computed once
+// per row tree (the two tree combinations sharing a row tree consume the
+// same row-pass output), and one column dispatch computes both column
+// trees from a single gather and pad. Deeper levels cascade each tree
+// through the blocked row and column tasks. The quad-layout inverse
+// consumes tree coefficients written directly by the fused rule kernel,
+// skipping the c2q distribution pass.
 //
 // Determinism follows the kernel engine's contract: the traversals above
 // are pure compute built from the same charge-free tile kernels and the
@@ -27,18 +26,6 @@ import (
 // replayed sequentially afterwards in exactly the order the sequential
 // cascade charges it. Pixels, StageTimes and the energy ledger are
 // therefore bit-identical to the reference at every worker count.
-
-// pairTask interleaves two equally-shaped tasks in one parallel dispatch:
-// each tile runs the first body then the second over the same index range,
-// so one traversal of the loop geometry drives both streams.
-type pairTask struct {
-	a, b kernels.Task
-}
-
-func (t *pairTask) Tile(lo, hi, worker int) {
-	t.a.Tile(lo, hi, worker)
-	t.b.Tile(lo, hi, worker)
-}
 
 // fwdColsDualTask runs the vertical analysis of both column trees from a
 // single column gather: a block of columns of the shared row-pass output
@@ -119,6 +106,27 @@ func (t *fwdColsDualTask) tileHalf(lo, hi, worker int, loA, hiA, loB, hiB []floa
 	}
 }
 
+// forwardColsDual dispatches the level-1 vertical analysis of both
+// column trees from one row-pass output; dstA and dstB are bank A's and
+// bank B's {ll, lh, hl, hh} planes. Charge-free: forwardTiled's caller
+// replays the charges.
+func (x *Xfm) forwardColsDual(bankA, bankB *Bank, src *frame.Frame, dstA, dstB [4][]float32, w, h, mw, mh int) {
+	ws := x.workspaces(x.W.N())
+	for i := range ws {
+		ws[i].px.grow(x.pool, h+signal.TapCount)
+		ws[i].colBlk.grow(x.pool, colBlock*h)
+		ws[i].bLoA.grow(x.pool, colBlock*mh)
+		ws[i].bHiA.grow(x.pool, colBlock*mh)
+		ws[i].bLoB.grow(x.pool, colBlock*mh)
+		ws[i].bHiB.grow(x.pool, colBlock*mh)
+	}
+	x.fwdColsD = fwdColsDualTask{x: x, bankA: bankA, bankB: bankB, src: src,
+		llA: dstA[0], lhA: dstA[1], hlA: dstA[2], hhA: dstA[3],
+		llB: dstB[0], lhB: dstB[1], hlB: dstB[2], hhB: dstB[3],
+		w: w, h: h, mw: mw, mh: mh}
+	x.W.Run(w, colGrain(w, x.W.N()), &x.fwdColsD)
+}
+
 // comboIndex maps (row tree, column tree) letters to the tree combination
 // index — the inverse of comboTrees.
 func comboIndex(rowTree, colTree byte) int {
@@ -143,369 +151,114 @@ func (p *DTPyramid) TreeBand(c, lv, bi int) *frame.Frame {
 	return bandOf(p.trees[c], lv, bi)
 }
 
-// shapedQuad reports whether the pyramid's quad planes (trees and
-// residuals) already match the geometry; the complex band planes may be
-// present or elided — both are valid fused-path workspaces.
-func (p *DTPyramid) shapedQuad(w, h, levels int) bool {
-	if p.W != w || p.H != h || len(p.Levels) != levels {
-		return false
-	}
-	for c := 0; c < numTrees; c++ {
-		if p.trees[c] == nil || p.trees[c].LL == nil || len(p.trees[c].Levels) != levels {
-			return false
-		}
-	}
-	return true
-}
-
-// ShapeQuadPyramid (re)shapes p with quad (tree) planes and lowpass
-// residuals only, eliding the six complex band planes per level that the
-// fused combine+rule+distribute path never materializes. The shaped
-// pyramid carries full inversion bookkeeping, so it is a valid destination
-// for the fused rule kernels and for InverseFused.
-func (t *DTCWT) ShapeQuadPyramid(p *DTPyramid, w, h, levels int) error {
-	if levels < 1 || levels > MaxLevels(w, h) {
-		return fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, w, h)
-	}
-	if p.shapedQuad(w, h, levels) {
-		for c := 0; c < numTrees; c++ {
-			rowTree, colTree := comboTrees(c)
-			p.trees[c].RowBanks = t.treeBanks(rowTree, levels)
-			p.trees[c].ColBanks = t.treeBanks(colTree, levels)
-		}
-		return nil
-	}
-	p.Release()
-	pool := t.poolOr()
-	p.W, p.H = w, h
-	if cap(p.Levels) >= levels {
-		p.Levels = p.Levels[:levels]
-	} else {
-		p.Levels = make([]DTLevel, levels)
-	}
-	for lv := range p.Levels {
-		p.Levels[lv] = DTLevel{}
-	}
-	for c := 0; c < numTrees; c++ {
-		rowTree, colTree := comboTrees(c)
-		if p.trees[c] == nil {
-			p.trees[c] = &Decomp{}
-		}
-		if err := shapeDecomp(p.trees[c], t.treeBanks(rowTree, levels), t.treeBanks(colTree, levels), w, h, levels, pool); err != nil {
-			p.Release()
-			return err
-		}
-		p.LLs[c] = p.trees[c].LL
-	}
-	return nil
-}
-
-// ForwardPairInto computes the DT-CWTs of vis into pa and ir into pb as
-// one fused dual-stream traversal. combine selects whether the complex
-// band planes are materialized (q2c) as ForwardInto does; the quad rule
-// path passes false and reads the quad planes directly. The results —
-// coefficients and every modeled charge — are bit-identical to two
-// ForwardInto calls (vis first), which is what engines without tile
-// kernels run (their pyramids always carry the complex planes).
-func (t *DTCWT) ForwardPairInto(pa, pb *DTPyramid, vis, ir *frame.Frame, levels int, combine bool) error {
-	if levels < 1 || levels > MaxLevels(vis.W, vis.H) {
-		return fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, vis.W, vis.H)
-	}
-	if !vis.SameSize(ir) {
-		return errors.New("wavelet.ForwardPairInto: source sizes differ")
-	}
-	x := t.X
-	if x.tile == nil {
-		if _, err := t.ForwardInto(pa, vis, levels); err != nil {
-			return err
-		}
-		_, err := t.ForwardInto(pb, ir, levels)
-		return err
-	}
-	var err error
-	if combine {
-		err = t.ShapePyramid(pa, vis.W, vis.H, levels)
-		if err == nil {
-			err = t.ShapePyramid(pb, vis.W, vis.H, levels)
-		}
-	} else {
-		err = t.ShapeQuadPyramid(pa, vis.W, vis.H, levels)
-		if err == nil {
-			err = t.ShapeQuadPyramid(pb, vis.W, vis.H, levels)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if err := t.forwardPairCompute(pa, pb, vis, ir, levels); err != nil {
-		return err
-	}
-	if combine {
-		for lv := 0; lv < levels; lv++ {
-			combineLevelCompute(x, pa.trees, lv, &pa.Levels[lv])
-		}
-		for lv := 0; lv < levels; lv++ {
-			combineLevelCompute(x, pb.trees, lv, &pb.Levels[lv])
-		}
-	}
-	// Replay the modeled charges sequentially in exactly the order two
-	// sequential ForwardInto calls issue them: the complete visible
-	// transform's, then the infrared's. The q2c combine charges replay
-	// regardless of where the combine compute runs — when the rule fusion
-	// absorbs it, the modeled cost keeps its Forward-stage attribution.
-	t.replayForwardCharges(vis.W, vis.H, levels)
-	t.replayForwardCharges(vis.W, vis.H, levels)
-	return nil
-}
-
-// forwardPairCompute is the charge-free fused analysis cascade.
-func (t *DTCWT) forwardPairCompute(pa, pb *DTPyramid, vis, ir *frame.Frame, levels int) error {
+// forwardTiled is the charge-free analysis cascade of one source frame
+// into p's tree planes and residuals; the caller replays its charges.
+func (t *DTCWT) forwardTiled(p *DTPyramid, img *frame.Frame, levels int) error {
 	x := t.X
 	pool := t.poolOr()
 
-	// Shared level-1 pads (odd inputs only) serve all four trees of a
-	// stream; the per-tree cascade re-pads per tree.
-	pV, ownV, err := padEvenCompute(vis, pool)
+	// One level-1 pad (odd inputs only) serves all four trees; the deep
+	// cascade pads per tree.
+	src, padOwned, err := padEvenCompute(img, pool)
 	if err != nil {
 		return err
 	}
-	pI, ownI, err := padEvenCompute(ir, pool)
-	if err != nil {
-		if ownV != nil {
-			ownV.Release()
-		}
-		return err
-	}
-	releasePads := func() {
-		if ownV != nil {
-			ownV.Release()
-			ownV = nil
-		}
-		if ownI != nil {
-			ownI.Release()
-			ownI = nil
-		}
-	}
-	w, h := pV.W, pV.H
+	w, h := src.W, src.H
 	mw, mh := w/2, h/2
 
-	// Per-(tree, stream) level-1 lowpass planes, consumed by the deep
-	// cascade (levels >= 2) or written directly to the trees' residuals.
-	var llV, llI [numTrees]*frame.Frame
-	var ownedV, ownedI [numTrees]*frame.Frame
-	fail := func(err error) error {
-		releasePads()
-		for c := 0; c < numTrees; c++ {
-			if ownedV[c] != nil {
-				ownedV[c].Release()
-			}
-			if ownedI[c] != nil {
-				ownedI[c].Release()
+	// Per-tree level-1 lowpass planes: the deep cascade's leased inputs,
+	// or the trees' residuals themselves at depth 1.
+	var ll [numTrees]*frame.Frame
+	releaseLL := func() {
+		for c := range ll {
+			if levels > 1 && ll[c] != nil {
+				ll[c].Release()
+				ll[c] = nil
 			}
 		}
+	}
+	for _, rt := range [2]byte{'a', 'b'} {
+		cA, cB := comboIndex(rt, 'a'), comboIndex(rt, 'b')
+		for _, c := range [2]int{cA, cB} {
+			ll[c] = p.trees[c].LL
+			if levels > 1 {
+				ll[c], err = pool.Get(mw, mh)
+			}
+			if err != nil {
+				break
+			}
+		}
+		var row *frame.Frame
+		if err == nil {
+			row, err = pool.Get(w, h)
+		}
+		if err != nil {
+			if padOwned != nil {
+				padOwned.Release()
+			}
+			releaseLL()
+			return err
+		}
+		da, db := p.trees[cA], p.trees[cB]
+		x.forwardRows(da.RowBanks[0], src, row, w, h, mw)
+		la, lb := &da.Levels[0], &db.Levels[0]
+		x.forwardColsDual(da.ColBanks[0], db.ColBanks[0], row,
+			[4][]float32{ll[cA].Pix, la.LH.Pix, la.HL.Pix, la.HH.Pix},
+			[4][]float32{ll[cB].Pix, lb.LH.Pix, lb.HL.Pix, lb.HH.Pix}, w, h, mw, mh)
+		row.Release()
+	}
+	if padOwned != nil {
+		padOwned.Release()
+	}
+	if levels == 1 {
+		return nil
+	}
+
+	// Deep levels: each tree cascades its own lowpass chain.
+	for c := 0; c < numTrees; c++ {
+		cur := ll[c]
+		ll[c] = nil
+		if err := forwardCascade(x, p.trees[c], cur, cur, 1, levels, pool, forwardLevelTiled); err != nil {
+			releaseLL()
+			return err
+		}
+	}
+	return nil
+}
+
+// forwardLevelTiled is forwardLevelInto's charge-free tiled counterpart:
+// the blocked row pass, then the blocked column pass of one tree.
+func forwardLevelTiled(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool) error {
+	p, padOwned, err := padEvenCompute(img, pool)
+	if err != nil {
 		return err
 	}
-	llDst := func(d *Decomp, owned *[numTrees]*frame.Frame, set *[numTrees]*frame.Frame, c int) (*frame.Frame, error) {
-		if levels == 1 {
-			return d.LL, nil
-		}
-		f, err := pool.Get(mw, mh)
-		if err != nil {
-			return nil, err
-		}
-		owned[c], set[c] = f, f
-		return f, nil
+	w, h := p.W, p.H
+	mw, mh := w/2, h/2
+	rowOut, err := pool.Get(w, h)
+	if err == nil {
+		x.forwardRows(rowBank, p, rowOut, w, h, mw)
 	}
-
-	// Level 1: one row pass per (row tree, stream); the two tree
-	// combinations sharing a row tree consume the same row-pass output,
-	// and one column dispatch computes both column trees per stream.
-	for _, rt := range [2]byte{'a', 'b'} {
-		rowBank := t.treeBanks(rt, levels)[0]
-		rowV, err := pool.Get(w, h)
-		if err != nil {
-			return fail(err)
-		}
-		rowI, err := pool.Get(w, h)
-		if err != nil {
-			rowV.Release()
-			return fail(err)
-		}
-		ws := x.workspaces(x.W.N())
-		for i := range ws {
-			ws[i].px.grow(x.pool, w+signal.TapCount)
-		}
-		x.fwdRows = fwdRowsTask{x: x, bank: rowBank, src: pV, dst: rowV, w: w, mw: mw}
-		x.fwdRowsB = fwdRowsTask{x: x, bank: rowBank, src: pI, dst: rowI, w: w, mw: mw}
-		x.pair = pairTask{a: &x.fwdRows, b: &x.fwdRowsB}
-		x.W.Run(h, kernels.Grain(h, 16*w, x.W.N()), &x.pair)
-
-		cA, cB := comboIndex(rt, 'a'), comboIndex(rt, 'b')
-		colBankA := t.treeBanks('a', levels)[0]
-		colBankB := t.treeBanks('b', levels)[0]
-		// A failed lease leaves the remaining destinations unset; fail
-		// releases every plane already leased.
-		llAv, err := llDst(pa.trees[cA], &ownedV, &llV, cA)
-		var llBv, llAi, llBi *frame.Frame
-		if err == nil {
-			llBv, err = llDst(pa.trees[cB], &ownedV, &llV, cB)
-		}
-		if err == nil {
-			llAi, err = llDst(pb.trees[cA], &ownedI, &llI, cA)
-		}
-		if err == nil {
-			llBi, err = llDst(pb.trees[cB], &ownedI, &llI, cB)
-		}
-		if err == nil {
-			for i := range ws {
-				ws[i].px.grow(x.pool, h+signal.TapCount)
-				ws[i].colBlk.grow(x.pool, colBlock*h)
-				ws[i].bLoA.grow(x.pool, colBlock*mh)
-				ws[i].bHiA.grow(x.pool, colBlock*mh)
-				ws[i].bLoB.grow(x.pool, colBlock*mh)
-				ws[i].bHiB.grow(x.pool, colBlock*mh)
-			}
-			la, lb := &pa.trees[cA].Levels[0], &pa.trees[cB].Levels[0]
-			x.fwdColsD = fwdColsDualTask{x: x, bankA: colBankA, bankB: colBankB, src: rowV,
-				llA: llAv.Pix, lhA: la.LH.Pix, hlA: la.HL.Pix, hhA: la.HH.Pix,
-				llB: llBv.Pix, lhB: lb.LH.Pix, hlB: lb.HL.Pix, hhB: lb.HH.Pix,
-				w: w, h: h, mw: mw, mh: mh}
-			la, lb = &pb.trees[cA].Levels[0], &pb.trees[cB].Levels[0]
-			x.fwdColsDB = fwdColsDualTask{x: x, bankA: colBankA, bankB: colBankB, src: rowI,
-				llA: llAi.Pix, lhA: la.LH.Pix, hlA: la.HL.Pix, hhA: la.HH.Pix,
-				llB: llBi.Pix, lhB: lb.LH.Pix, hlB: lb.HL.Pix, hhB: lb.HH.Pix,
-				w: w, h: h, mw: mw, mh: mh}
-			x.pair = pairTask{a: &x.fwdColsD, b: &x.fwdColsDB}
-			x.W.Run(w, kernels.Grain(w, 32*h, x.W.N()), &x.pair)
-		}
-		rowV.Release()
-		rowI.Release()
-		if err != nil {
-			return fail(err)
-		}
+	if padOwned != nil {
+		padOwned.Release()
 	}
-	releasePads()
-
-	// Deep levels, tree outer (no cross-tree sharing remains: each tree
-	// cascades its own lowpass chain), both streams per dispatch.
-	for c := 0; c < numTrees; c++ {
-		da, db := pa.trees[c], pb.trees[c]
-		curV, curOwnV := llV[c], ownedV[c]
-		curI, curOwnI := llI[c], ownedI[c]
-		ownedV[c], ownedI[c] = nil, nil
-		releaseCur := func() {
-			if curOwnV != nil {
-				curOwnV.Release()
-				curOwnV = nil
-			}
-			if curOwnI != nil {
-				curOwnI.Release()
-				curOwnI = nil
-			}
-		}
-		for lv := 1; lv < levels; lv++ {
-			pV2, ownV2, err := padEvenCompute(curV, pool)
-			if err != nil {
-				releaseCur()
-				return fail(err)
-			}
-			pI2, ownI2, err := padEvenCompute(curI, pool)
-			if err != nil {
-				if ownV2 != nil {
-					ownV2.Release()
-				}
-				releaseCur()
-				return fail(err)
-			}
-			w2, h2 := pV2.W, pV2.H
-			mw2, mh2 := w2/2, h2/2
-			step := func() (nextV, nextI, nextOwnV, nextOwnI *frame.Frame, err error) {
-				if lv == levels-1 {
-					nextV, nextI = da.LL, db.LL
-				} else {
-					if nextV, err = pool.Get(mw2, mh2); err != nil {
-						return nil, nil, nil, nil, err
-					}
-					if nextI, err = pool.Get(mw2, mh2); err != nil {
-						nextV.Release()
-						return nil, nil, nil, nil, err
-					}
-					nextOwnV, nextOwnI = nextV, nextI
-				}
-				rowV, err := pool.Get(w2, h2)
-				if err != nil {
-					if nextOwnV != nil {
-						nextOwnV.Release()
-						nextOwnI.Release()
-					}
-					return nil, nil, nil, nil, err
-				}
-				rowI, err := pool.Get(w2, h2)
-				if err != nil {
-					rowV.Release()
-					if nextOwnV != nil {
-						nextOwnV.Release()
-						nextOwnI.Release()
-					}
-					return nil, nil, nil, nil, err
-				}
-				ws := x.workspaces(x.W.N())
-				for i := range ws {
-					ws[i].px.grow(x.pool, w2+signal.TapCount)
-				}
-				x.fwdRows = fwdRowsTask{x: x, bank: da.RowBanks[lv], src: pV2, dst: rowV, w: w2, mw: mw2}
-				x.fwdRowsB = fwdRowsTask{x: x, bank: db.RowBanks[lv], src: pI2, dst: rowI, w: w2, mw: mw2}
-				x.pair = pairTask{a: &x.fwdRows, b: &x.fwdRowsB}
-				x.W.Run(h2, kernels.Grain(h2, 16*w2, x.W.N()), &x.pair)
-				for i := range ws {
-					ws[i].px.grow(x.pool, h2+signal.TapCount)
-					ws[i].colBlk.grow(x.pool, colBlock*h2)
-					ws[i].bLoA.grow(x.pool, colBlock*mh2)
-					ws[i].bHiA.grow(x.pool, colBlock*mh2)
-				}
-				ba, bb := da.Levels[lv], db.Levels[lv]
-				x.fwdColsK = fwdColsBlkTask{x: x, bank: da.ColBanks[lv], src: rowV,
-					ll: nextV.Pix, lh: ba.LH.Pix, hl: ba.HL.Pix, hh: ba.HH.Pix,
-					w: w2, h: h2, mw: mw2, mh: mh2}
-				x.fwdColsKB = fwdColsBlkTask{x: x, bank: db.ColBanks[lv], src: rowI,
-					ll: nextI.Pix, lh: bb.LH.Pix, hl: bb.HL.Pix, hh: bb.HH.Pix,
-					w: w2, h: h2, mw: mw2, mh: mh2}
-				x.pair = pairTask{a: &x.fwdColsK, b: &x.fwdColsKB}
-				x.W.Run(w2, kernels.Grain(w2, 16*h2, x.W.N()), &x.pair)
-				rowV.Release()
-				rowI.Release()
-				return nextV, nextI, nextOwnV, nextOwnI, nil
-			}
-			nextV, nextI, nextOwnV, nextOwnI, err := step()
-			if ownV2 != nil {
-				ownV2.Release()
-			}
-			if ownI2 != nil {
-				ownI2.Release()
-			}
-			if err != nil {
-				releaseCur()
-				return fail(err)
-			}
-			releaseCur()
-			curV, curOwnV = nextV, nextOwnV
-			curI, curOwnI = nextI, nextOwnI
-		}
-		releaseCur()
+	if err != nil {
+		return err
 	}
+	x.forwardCols(colBank, rowOut, ll.Pix, b.LH.Pix, b.HL.Pix, b.HH.Pix, w, h, mw, mh)
+	rowOut.Release()
 	return nil
 }
 
 // replayForwardCharges re-issues one stream's complete forward-transform
 // charge sequence — per tree and level: the odd-size pad, the per-row and
-// per-column structure and kernel charges; then the per-level q2c combine
-// charges — in exactly the order (and with exactly the per-item replay
-// loops) the per-tree cascade performs them, so the float64 cycle
-// accumulators and the instruction ledger land bit-identically.
+// per-column structure and kernel charges — in exactly the order (and
+// with exactly the per-item replay loops) the per-tree reference cascade
+// performs them, so the float64 cycle accumulators and the instruction
+// ledger land bit-identically.
 func (t *DTCWT) replayForwardCharges(w, h, levels int) {
 	x := t.X
 	for c := 0; c < numTrees; c++ {
-		_ = c
 		cw, ch := w, h
 		for lv := 0; lv < levels; lv++ {
 			pw, ph, mw, mh := levelGeom(cw, ch)
@@ -525,12 +278,17 @@ func (t *DTCWT) replayForwardCharges(w, h, levels int) {
 			cw, ch = mw, mh
 		}
 	}
+}
+
+// chargeCombine issues the per-level q2c combine charges. They are
+// charged whether or not the combine compute runs: when the quad rule
+// absorbs it, the modeled cost keeps its Forward-stage attribution.
+func (t *DTCWT) chargeCombine(w, h, levels int) {
 	cw, ch := w, h
 	for lv := 0; lv < levels; lv++ {
 		_, _, mw, mh := levelGeom(cw, ch)
-		n := mw * mh
 		for bi := 0; bi < 3; bi++ {
-			x.chargeCPU(4 * n)
+			t.X.chargeCPU(4 * mw * mh)
 		}
 		cw, ch = mw, mh
 	}
@@ -577,20 +335,4 @@ func padEvenCompute(img *frame.Frame, pool *bufpool.Pool) (padded, owned *frame.
 		}
 	}
 	return p, p, nil
-}
-
-// combineLevelCompute is combineLevelInto's charge-free compute body.
-func combineLevelCompute(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
-	for bi := 0; bi < 3; bi++ {
-		p := bandOf(trees[TreeAA], lv, bi)
-		q := bandOf(trees[TreeBB], lv, bi)
-		r := bandOf(trees[TreeAB], lv, bi)
-		s := bandOf(trees[TreeBA], lv, bi)
-		z1 := out.Bands[bi]
-		z2 := out.Bands[5-bi]
-		n := len(p.Pix)
-		x.q2c = q2cTask{p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix,
-			z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im}
-		x.W.Run(n, kernels.Grain(n, 32, x.W.N()), &x.q2c)
-	}
 }

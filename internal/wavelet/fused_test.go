@@ -6,16 +6,17 @@ import (
 	"testing"
 
 	"zynqfusion/internal/engine"
+	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 )
 
-// These tests pin the operator-fusion claim at the transform layer: the
-// dual-stream fused forward (shared row passes, blocked dual-tree column
-// gathers) and the fused quad-layout inverse must match the sequential
-// reference cascade bit for bit — every tree coefficient plane, every
-// complex band, the reconstruction, the modeled charge sequence and the
-// NEON ledger — on one worker and across a worker pool.
+// These tests pin the fast forward cascade at the transform layer: the
+// tiled per-stream forward (shared level-1 row passes, blocked dual-tree
+// column gathers) in both layouts, and the quad-layout inverse, must match
+// the sequential reference cascade bit for bit — every tree coefficient
+// plane, every complex band, the reconstruction, the modeled charge
+// sequence and the NEON ledger — on one worker and across a worker pool.
 
 // compareTreePlanes asserts the quad (tree) detail planes and lowpass
 // residuals of two pyramids match bitwise — the layout the fused rule
@@ -58,10 +59,11 @@ func newTimedDT(mk func() timedKernel, workers int) (*DTCWT, timedKernel, *kerne
 	return NewDTCWT(x, DefaultTreeBanks()), k, w
 }
 
-// TestForwardPairBitExact runs the fused dual-stream forward against two
-// reference forwards, in both materialization modes, and the fused quad
-// inverse against the reference distributing inverse, across engines,
-// geometries and worker counts.
+// TestForwardPairBitExact runs a visible/infrared pair through the tiled
+// forward, in both layouts (ForwardInto combines, ForwardQuadInto leaves
+// the complex planes elided), against two reference forwards, and the
+// quad inverse against the reference distributing inverse, across
+// engines, even and odd geometries and worker counts.
 func TestForwardPairBitExact(t *testing.T) {
 	withParallelism(t, 8)
 	sizes := []wh{{16, 16}, {33, 31}, {64, 48}, {97, 61}}
@@ -87,36 +89,48 @@ func TestForwardPairBitExact(t *testing.T) {
 				}
 				refFwd := refK.Elapsed()
 
-				// Fused forward, complex bands materialized: full pyramids
-				// (tree planes, complex bands, residuals) and the modeled
-				// charge total must match the two reference forwards.
+				// Complex bands materialized: full pyramids (tree planes,
+				// complex bands, residuals) and the modeled charge total
+				// must match the two reference forwards.
 				cDT, cK, cW := newTimedDT(mk.fast, workers)
 				pa, pb := &DTPyramid{}, &DTPyramid{}
-				if err := cDT.ForwardPairInto(pa, pb, vis, ir, levels, true); err != nil {
-					t.Fatalf("%s: fused pair: %v", label, err)
+				if _, err := cDT.ForwardInto(pa, vis, levels); err != nil {
+					t.Fatalf("%s: tiled forward vis: %v", label, err)
+				}
+				if _, err := cDT.ForwardInto(pb, ir, levels); err != nil {
+					t.Fatalf("%s: tiled forward ir: %v", label, err)
 				}
 				comparePyramids(t, label+" vis", refA, pa)
 				comparePyramids(t, label+" ir", refB, pb)
 				compareTreePlanes(t, label+" vis", refA, pa)
 				compareTreePlanes(t, label+" ir", refB, pb)
 				if cK.Elapsed() != refFwd {
-					t.Fatalf("%s: fused forward modeled %v, reference %v", label, cK.Elapsed(), refFwd)
+					t.Fatalf("%s: tiled forward modeled %v, reference %v", label, cK.Elapsed(), refFwd)
 				}
 				if !sameLedger(refK, cK) {
-					t.Fatalf("%s: fused instruction ledger differs", label)
+					t.Fatalf("%s: tiled instruction ledger differs", label)
 				}
 
-				// Fused forward in quad-only mode (complex planes elided),
-				// then the fused inverse against the distributing inverse.
+				// Quad layout (complex planes elided), then the quad
+				// inverse against the distributing inverse.
 				qDT, qK, qW := newTimedDT(mk.fast, workers)
 				qa, qb := &DTPyramid{}, &DTPyramid{}
-				if err := qDT.ForwardPairInto(qa, qb, vis, ir, levels, false); err != nil {
-					t.Fatalf("%s: quad pair: %v", label, err)
+				if _, err := qDT.ForwardQuadInto(qa, vis, levels); err != nil {
+					t.Fatalf("%s: quad forward vis: %v", label, err)
+				}
+				if _, err := qDT.ForwardQuadInto(qb, ir, levels); err != nil {
+					t.Fatalf("%s: quad forward ir: %v", label, err)
+				}
+				if qa.Levels[0].Bands[0] != nil {
+					t.Fatalf("%s: quad forward materialized complex bands", label)
 				}
 				compareTreePlanes(t, label+" quad vis", refA, qa)
 				compareTreePlanes(t, label+" quad ir", refB, qb)
 				if qK.Elapsed() != refFwd {
 					t.Fatalf("%s: quad forward modeled %v, reference %v", label, qK.Elapsed(), refFwd)
+				}
+				if !sameLedger(refK, qK) {
+					t.Fatalf("%s: quad forward instruction ledger differs", label)
 				}
 				recRef, err := refDT.Inverse(refA)
 				if err != nil {
@@ -125,7 +139,7 @@ func TestForwardPairBitExact(t *testing.T) {
 				// Inverse distributed refA's complex bands back into its
 				// tree planes (the c2q float roundtrip the fused rule
 				// kernels reproduce per element). Feed those exact quads to
-				// the fused inverse: its blocked synthesis must reconstruct
+				// the quad inverse: its blocked synthesis must reconstruct
 				// them bit-identically to the reference loops.
 				for c := 0; c < numTrees; c++ {
 					for lv := 0; lv < levels; lv++ {
@@ -136,15 +150,15 @@ func TestForwardPairBitExact(t *testing.T) {
 				}
 				recQ, err := qDT.InverseFused(qa)
 				if err != nil {
-					t.Fatalf("%s: fused inverse: %v", label, err)
+					t.Fatalf("%s: quad inverse: %v", label, err)
 				}
 				compareFrames(t, label+" reconstruction", recRef, recQ)
 				if refK.Elapsed()-refFwd != qK.Elapsed()-refFwd {
-					t.Fatalf("%s: fused inverse modeled %v, reference %v",
+					t.Fatalf("%s: quad inverse modeled %v, reference %v",
 						label, qK.Elapsed()-refFwd, refK.Elapsed()-refFwd)
 				}
 				if !sameLedger(refK, qK) {
-					t.Fatalf("%s: fused inverse instruction ledger differs", label)
+					t.Fatalf("%s: quad inverse instruction ledger differs", label)
 				}
 				for _, w := range []*kernels.Workers{refW, cW, qW} {
 					if w != nil {
@@ -156,72 +170,107 @@ func TestForwardPairBitExact(t *testing.T) {
 	}
 }
 
-// TestForwardPairFallback pins the safe path for kernels without tile
-// compute: ForwardPairInto runs two reference forwards.
+// TestForwardPairFallback pins the path of kernels without tile compute:
+// both forward entries run the reference loops, and the quad entry
+// writes the same tree planes and issues the same charges as the
+// combining one.
 func TestForwardPairFallback(t *testing.T) {
+	vis := testFrame(33, 31, 5)
+	ir := testFrame(33, 31, 6)
 	x := NewXfm(signal.RefKernel{})
 	if x.TileCapable() {
 		t.Fatal("RefKernel must not offer tile compute")
 	}
 	dt := NewDTCWT(x, DefaultTreeBanks())
-	vis := testFrame(33, 31, 5)
-	ir := testFrame(33, 31, 6)
-	pa, pb := &DTPyramid{}, &DTPyramid{}
-	if err := dt.ForwardPairInto(pa, pb, vis, ir, 2, true); err != nil {
-		t.Fatal(err)
-	}
 	refDT := NewDTCWT(NewXfm(signal.RefKernel{}), DefaultTreeBanks())
-	refA, err := refDT.Forward(vis, 2)
-	if err != nil {
+	for _, img := range []*frame.Frame{vis, ir} {
+		p, q := &DTPyramid{}, &DTPyramid{}
+		if _, err := dt.ForwardInto(p, img, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dt.ForwardQuadInto(q, img, 2); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := refDT.Forward(img, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comparePyramids(t, "fallback", ref, p)
+		compareTreePlanes(t, "fallback", ref, p)
+		compareTreePlanes(t, "fallback quad", ref, q)
+	}
+
+	// Modeled charges: the quad entry issues the combine's charges too.
+	cK, qK := engine.NewNEONEmulated(false), engine.NewNEONEmulated(false)
+	cDT := NewDTCWT(NewXfm(cK), DefaultTreeBanks())
+	qDT := NewDTCWT(NewXfm(qK), DefaultTreeBanks())
+	if _, err := cDT.ForwardInto(&DTPyramid{}, vis, 2); err != nil {
 		t.Fatal(err)
 	}
-	refB, err := refDT.Forward(ir, 2)
-	if err != nil {
+	if _, err := qDT.ForwardQuadInto(&DTPyramid{}, vis, 2); err != nil {
 		t.Fatal(err)
 	}
-	comparePyramids(t, "fallback vis", refA, pa)
-	comparePyramids(t, "fallback ir", refB, pb)
+	if cK.Elapsed() != qK.Elapsed() || cK.Unit().C != qK.Unit().C {
+		t.Fatalf("quad forward modeled %v, combining forward %v", qK.Elapsed(), cK.Elapsed())
+	}
 }
 
 // TestForwardPairErrors covers the argument validation paths.
 func TestForwardPairErrors(t *testing.T) {
 	dt := NewDTCWT(NewXfm(engine.NewNEON(false)), DefaultTreeBanks())
 	vis := testFrame(32, 24, 1)
-	pa, pb := &DTPyramid{}, &DTPyramid{}
-	if err := dt.ForwardPairInto(pa, pb, vis, testFrame(16, 12, 2), 2, true); err == nil {
-		t.Error("size mismatch accepted")
+	for _, levels := range []int{0, 99} {
+		if _, err := dt.ForwardInto(&DTPyramid{}, vis, levels); err == nil {
+			t.Errorf("ForwardInto accepted levels=%d", levels)
+		}
+		if _, err := dt.ForwardQuadInto(&DTPyramid{}, vis, levels); err == nil {
+			t.Errorf("ForwardQuadInto accepted levels=%d", levels)
+		}
 	}
-	if err := dt.ForwardPairInto(pa, pb, vis, vis, 0, true); err == nil {
-		t.Error("levels=0 accepted")
-	}
-	if err := dt.ForwardPairInto(pa, pb, vis, vis, 99, true); err == nil {
-		t.Error("absurd depth accepted")
-	}
-	if err := dt.ShapeQuadPyramid(pa, 32, 24, 99); err == nil {
-		t.Error("ShapeQuadPyramid accepted absurd depth")
+	if err := dt.ShapePyramid(&DTPyramid{}, 32, 24, 99, false); err == nil {
+		t.Error("quad ShapePyramid accepted absurd depth")
 	}
 	if _, err := dt.InverseFused(&DTPyramid{}); err == nil {
 		t.Error("InverseFused accepted an empty pyramid")
 	}
 }
 
-// TestShapeQuadPyramidReuse pins the workspace contract the fused rule
+// TestShapeQuadPyramidReuse pins the workspace contract the quad rule
 // path relies on: reshaping at the same geometry keeps the planes (no
-// churn), reshaping at a new geometry rebuilds them.
+// churn) whichever layout the pyramid already carries, a complex request
+// on a quad workspace adds the band planes, and reshaping at a new
+// geometry rebuilds them.
 func TestShapeQuadPyramidReuse(t *testing.T) {
 	dt := NewDTCWT(NewXfm(engine.NewNEON(false)), DefaultTreeBanks())
 	p := &DTPyramid{}
-	if err := dt.ShapeQuadPyramid(p, 64, 48, 2); err != nil {
+	if err := dt.ShapePyramid(p, 64, 48, 2, false); err != nil {
 		t.Fatal(err)
 	}
+	if p.Levels[0].Bands[0] != nil {
+		t.Fatal("quad shaping materialized complex bands")
+	}
 	before := p.TreeBand(TreeAA, 0, 0).Pix
-	if err := dt.ShapeQuadPyramid(p, 64, 48, 2); err != nil {
+	if err := dt.ShapePyramid(p, 64, 48, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if &before[0] != &p.TreeBand(TreeAA, 0, 0).Pix[0] {
 		t.Fatal("same-geometry reshape reallocated the tree planes")
 	}
-	if err := dt.ShapeQuadPyramid(p, 48, 64, 2); err != nil {
+	if err := dt.ShapePyramid(p, 64, 48, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if p.Levels[0].Bands[0] == nil || p.Levels[1].Bands[5] == nil {
+		t.Fatal("complex reshape of a quad workspace left the bands elided")
+	}
+	before = p.TreeBand(TreeAA, 0, 0).Pix
+	band := p.Levels[0].Bands[0]
+	if err := dt.ShapePyramid(p, 64, 48, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if &before[0] != &p.TreeBand(TreeAA, 0, 0).Pix[0] || p.Levels[0].Bands[0] != band {
+		t.Fatal("quad reshape of a complex workspace reallocated its planes")
+	}
+	if err := dt.ShapePyramid(p, 48, 64, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.TreeBand(TreeAA, 0, 0); got.W == 32 {

@@ -123,7 +123,7 @@ func TestShapePyramidIsValidFusionDestination(t *testing.T) {
 	pool := bufpool.New(bufpool.Options{})
 	dt := NewDTCWTPooled(NewXfm(signal.RefKernel{}), DefaultTreeBanks(), pool)
 	ws := &DTPyramid{}
-	if err := dt.ShapePyramid(ws, 40, 40, 3); err != nil {
+	if err := dt.ShapePyramid(ws, 40, 40, 3, true); err != nil {
 		t.Fatal(err)
 	}
 	src, err := dt.Forward(poolTestFrame(40, 40, 5), 3)

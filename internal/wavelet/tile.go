@@ -10,7 +10,9 @@ import (
 // cache-blocked tile tasks over a kernels.Workers pool. Every engine with
 // tile kernels runs these at any worker count (a 1-worker pool runs the
 // tiles inline); the sequential loops in dwt2d.go are the reference they
-// are tested against.
+// are tested against. The forward dispatchers are charge-free (the
+// forward cascade replays its charges once, in reference order); the
+// inverse dispatchers replay their own.
 //
 // Every pass follows the kernel engine's determinism contract: the
 // parallel region performs only pure compute (padding, gathers, the
@@ -43,19 +45,15 @@ func (t *fwdRowsTask) Tile(lo, hi, worker int) {
 	}
 }
 
-// forwardRowsTiled dispatches the horizontal analysis pass and replays
-// its charges: per row, the pad memcpy then the kernel row.
-func (x *Xfm) forwardRowsTiled(bank *Bank, src, dst *frame.Frame, w, h, mw int) {
+// forwardRows dispatches the horizontal analysis pass. Charge-free: the
+// forward cascade replays its charges (replayForwardCharges).
+func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame, w, h, mw int) {
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
 		ws[i].px.grow(x.pool, w+signal.TapCount)
 	}
 	x.fwdRows = fwdRowsTask{x: x, bank: bank, src: src, dst: dst, w: w, mw: mw}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
-	for y := 0; y < h; y++ {
-		x.chargeCPU(w + signal.TapCount)
-		x.tile.ChargeAnalyzeRow(mw)
-	}
 }
 
 // colBlock is the column-block width of the vertical passes: enough
@@ -63,6 +61,18 @@ func (x *Xfm) forwardRowsTiled(bank *Bank, src, dst *frame.Frame, w, h, mw int) 
 // whole cache lines of the row-major planes, while the block staging (one
 // input block plus the subband blocks) stays cache-resident.
 const colBlock = 8
+
+// colGrain is the tile width of a column dispatch over cols columns: a
+// whole number of colBlock-wide blocks, so every tile gathers and
+// scatters full blocks however tall the columns are. (A per-column cache
+// bound cuts tall-frame tiles below one block — 1 column at 1080p — and
+// degenerates the blocked gather into a per-column strided one.) The
+// block staging is reused block after block, so only load balance bounds
+// the width.
+func colGrain(cols, workers int) int {
+	blocks := (cols + colBlock - 1) / colBlock
+	return colBlock * kernels.Grain(blocks, 0, workers)
+}
 
 // fwdColsBlkTask runs the vertical analysis pass: a block of columns of
 // src gathers line-sequentially into per-worker staging, each column pads
@@ -129,10 +139,9 @@ func (t *fwdColsBlkTask) tileHalf(lo, hi, worker int, dstLo, dstHi []float32, of
 	}
 }
 
-// forwardColsBlk dispatches the vertical analysis pass and replays its
-// charges: per column, the gather, the pad, the kernel row and the
-// scatter.
-func (x *Xfm) forwardColsBlk(bank *Bank, src *frame.Frame, ll, lh, hl, hh []float32, w, h, mw, mh int) {
+// forwardCols dispatches the vertical analysis pass. Charge-free: the
+// forward cascade replays its charges (replayForwardCharges).
+func (x *Xfm) forwardCols(bank *Bank, src *frame.Frame, ll, lh, hl, hh []float32, w, h, mw, mh int) {
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
 		ws[i].px.grow(x.pool, h+signal.TapCount)
@@ -141,13 +150,7 @@ func (x *Xfm) forwardColsBlk(bank *Bank, src *frame.Frame, ll, lh, hl, hh []floa
 		ws[i].bHiA.grow(x.pool, colBlock*mh)
 	}
 	x.fwdColsK = fwdColsBlkTask{x: x, bank: bank, src: src, ll: ll, lh: lh, hl: hl, hh: hh, w: w, h: h, mw: mw, mh: mh}
-	x.W.Run(w, kernels.Grain(w, 8*h, x.W.N()), &x.fwdColsK)
-	for cx := 0; cx < w; cx++ {
-		x.chargeCPU(h)
-		x.chargeCPU(h + signal.TapCount)
-		x.tile.ChargeAnalyzeRow(mh)
-		x.chargeCPU(h)
-	}
+	x.W.Run(w, colGrain(w, x.W.N()), &x.fwdColsK)
 }
 
 // invColsBlkTask runs one half of the vertical synthesis pass: a block of
@@ -216,7 +219,7 @@ func (x *Xfm) inverseColsBlk(bank *Bank, loP, hiP []float32, dst *frame.Frame, w
 		ws[i].y.grow(x.pool, h)
 	}
 	x.invColsK = invColsBlkTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
-	x.W.Run(mw, kernels.Grain(mw, 16*mh, x.W.N()), &x.invColsK)
+	x.W.Run(mw, colGrain(mw, x.W.N()), &x.invColsK)
 	for cx := 0; cx < mw; cx++ {
 		x.chargeCPU(2 * mh)
 		x.chargeCPU(2 * (mh + signal.SynthesisPad))

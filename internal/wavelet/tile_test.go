@@ -323,3 +323,54 @@ func TestScratchStableAfterWarmup(t *testing.T) {
 		})
 	}
 }
+
+// TestTiledColGrain pins the column-dispatch tile width: whole colBlock
+// units at every level of every geometry and worker count — never below
+// one block however tall the columns are — one tile on a single worker,
+// and on a pool at least two tiles per worker unless every tile is a
+// single block.
+func TestTiledColGrain(t *testing.T) {
+	// Level-1 forward column counts (the padded width) at 1, 2, 4 workers.
+	for _, tc := range []struct {
+		cols int
+		want [3]int
+	}{
+		{88, [3]int{88, 16, 8}},
+		{1280, [3]int{1280, 160, 80}},
+		{1920, [3]int{1920, 240, 120}},
+		{98, [3]int{104, 16, 8}}, // 97 wide, padded
+		{4, [3]int{8, 8, 8}},
+	} {
+		for i, workers := range []int{1, 2, 4} {
+			if got := colGrain(tc.cols, workers); got != tc.want[i] {
+				t.Errorf("colGrain(%d, %d) = %d, want %d", tc.cols, workers, got, tc.want[i])
+			}
+		}
+	}
+	for _, sz := range []wh{{88, 72}, {1280, 720}, {1920, 1080}, {97, 61}, {33, 31}, {7, 5}} {
+		cw, ch := sz.w, sz.h
+		for lv := 0; lv < MaxLevels(sz.w, sz.h); lv++ {
+			pw, ph, mw, mh := levelGeom(cw, ch)
+			// Forward passes dispatch pw columns of ph rows; each inverse
+			// half-pass dispatches mw columns of 2*mh rows.
+			for _, cols := range []int{pw, mw} {
+				for _, workers := range []int{1, 2, 4} {
+					g := colGrain(cols, workers)
+					label := fmt.Sprintf("%dx%d level %d: %d columns of %d rows, %d workers: width %d",
+						sz.w, sz.h, lv+1, cols, ph, workers, g)
+					if g < colBlock || g%colBlock != 0 {
+						t.Errorf("%s is not whole blocks", label)
+					}
+					tiles := (cols + g - 1) / g
+					if workers == 1 && tiles != 1 {
+						t.Errorf("%s splits a single worker's pass into %d tiles", label, tiles)
+					}
+					if workers > 1 && g > colBlock && tiles < 2*workers {
+						t.Errorf("%s gives only %d tiles", label, tiles)
+					}
+				}
+			}
+			cw, ch = mw, mh
+		}
+	}
+}

@@ -101,16 +101,10 @@ type Xfm struct {
 	ws      []tileScratch      // per-worker scratch for tiled passes
 
 	// Reusable task boxes: passing pointers to these through the Task
-	// interface keeps tiled dispatch at zero allocations per frame. The B
-	// variants are the second stream of the dual-stream forward traversal,
-	// which pairs two bodies per dispatch.
+	// interface keeps tiled dispatch at zero allocations per frame.
 	fwdRows     fwdRowsTask
-	fwdRowsB    fwdRowsTask
 	fwdColsD    fwdColsDualTask
-	fwdColsDB   fwdColsDualTask
 	fwdColsK    fwdColsBlkTask
-	fwdColsKB   fwdColsBlkTask
-	pair        pairTask
 	invColsK    invColsBlkTask
 	invRows     invRowsTask
 	q2c         q2cTask
@@ -156,8 +150,8 @@ func (x *Xfm) ReleaseScratch() {
 }
 
 // TileCapable reports whether the kernel offers concurrency-safe tile
-// compute, which selects the tile tasks for every 2-D pass (a 1-worker
-// pool runs them inline) and the fused dual-stream cascade. Engines that
+// compute, which selects the tiled forward cascade and the tiled inverse
+// passes (a 1-worker pool runs the tiles inline). Engines that
 // veto tiling via TilingEnabled report false and run the sequential
 // loops, the reference the tile tasks must match bit for bit.
 func (x *Xfm) TileCapable() bool { return x.tile != nil }

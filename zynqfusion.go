@@ -153,11 +153,10 @@ type Options struct {
 	// fusion hot loops tile across: 0 (the default) selects GOMAXPROCS, 1
 	// runs every tile on the calling goroutine, and any value is capped at
 	// GOMAXPROCS. The ARM and fast-NEON engines run every wavelet pass as
-	// tile tasks; on the sequential executor they also run both forward
-	// transforms as one dual-stream traversal and, for the built-in rules,
-	// the tree combination + rule + distribution per tile in quad layout,
-	// never materializing the intermediate complex band planes (the
-	// pipelined executor's stations transform one stream at a time).
+	// tile tasks, one forward cascade per source frame, and, for the
+	// built-in rules, the tree combination + rule + distribution per tile
+	// in quad layout, never materializing the intermediate complex band
+	// planes — on the sequential and the pipelined executor alike.
 	// Worker count is pure host-side scheduling — it never changes results
 	// or the modeled platform accounting: compute runs in disjoint tiles
 	// and every cycle/energy charge replays in sequential order, so
