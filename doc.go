@@ -174,18 +174,21 @@
 // accumulation order, so fused pixels, StageTimes, energy and the NEON
 // instruction ledger are bit-for-bit identical at every setting.
 //
-// The tile-capable engines (ARM, fast NEON) run one fast data path at
-// every worker count and frame size, on both executors (the sequential
+// The tile-capable engines (ARM, fast NEON) run one fast transform path
+// at every worker count and frame size, on both executors (the sequential
 // executor runs the pipelined executor's station bodies in order). Each
 // source frame runs one tiled forward cascade: level-1 row passes shared
 // by the two tree combinations of a row tree, column passes that gather
-// whole eight-column blocks once for both column trees. For the built-in
-// rules the complex conversion + fusion rule + inverse conversion run
-// per tile directly on quad-layout subbands, so the per-level complex
-// band planes are never materialized, and the synthesis columns move
-// through the same cache-line-sized blocks. The sequential loops stay as
-// the reference: the emulated NEON, FPGA and adaptive engines run them,
-// and the fast path matches them bit for bit. The wall-clock record
+// whole eight-column blocks once for both column trees; the synthesis
+// columns move through the same cache-line-sized blocks. The sequential
+// transform loops stay as the reference: the emulated NEON, FPGA and
+// adaptive engines run them, and the fast path matches them bit for bit.
+// The fusion rule does not depend on the engine: on every engine the
+// built-in rules run the complex conversion + fusion rule + inverse
+// conversion per tile directly on quad-layout subbands, so the per-level
+// complex band planes are never materialized; custom rules, and the
+// reference oracle the quad kernels are pinned against, fuse over
+// complex bands. The wall-clock record
 // against the scalar baseline is generated by:
 //
 //	go run ./cmd/fusionbench -exp kernel-speedup

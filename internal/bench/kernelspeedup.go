@@ -11,14 +11,15 @@ import (
 
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/frame"
+	"zynqfusion/internal/fusion"
 	"zynqfusion/internal/pipeline"
 )
 
 // KernelSpeedupCell is one wall-clock comparison of the fast data path
 // (the tiled, operator-fused cascade at workers = host cores) against the
 // scalar baseline (the NEON engine pinned to its emulated per-instruction
-// unit, which runs the sequential reference loops) on the same frame
-// sequence. The modeled platform must be oblivious to the host-side
+// unit, which runs the sequential reference loops and the complex-band
+// rule chain) on the same frame sequence. The modeled platform must be oblivious to the host-side
 // execution strategy, so the cell also records whether the fused pixels
 // and the accumulated modeled StageTimes (energy included) of fast runs at
 // workers 1 and N both matched the scalar run bit for bit.
@@ -88,16 +89,18 @@ type kernelVariant struct {
 }
 
 // newKernelVariant builds and warms one NEON pipeline at s. emulated
-// selects the scalar baseline unit; workers sizes the kernel pool
-// (0 = GOMAXPROCS).
+// selects the scalar baseline: the emulated unit, fusing with the
+// max-magnitude rule wrapped so it has no quad kernel, so the baseline
+// runs the whole reference chain (combining forward, complex-band rule,
+// distributing inverse). workers sizes the kernel pool (0 = GOMAXPROCS).
 func newKernelVariant(s Size, emulated bool, workers int) (*kernelVariant, error) {
-	var eng engine.Engine
+	var eng engine.Engine = engine.NewNEON(false)
+	var rule fusion.Rule = fusion.MaxMagnitude{}
 	if emulated {
 		eng = engine.NewNEONEmulated(false)
-	} else {
-		eng = engine.NewNEON(false)
+		rule = struct{ fusion.Rule }{rule}
 	}
-	fu := pipeline.New(eng, pipeline.Config{IncludeIO: true, KernelWorkers: workers})
+	fu := pipeline.New(eng, pipeline.Config{Rule: rule, IncludeIO: true, KernelWorkers: workers})
 	v := &kernelVariant{fu: fu}
 	v.vis, v.ir = SourcePair(s)
 	warm, _, err := fu.FuseFrames(v.vis, v.ir) // lease planes, spawn workers

@@ -183,9 +183,9 @@ type opFuser struct {
 	lastTime map[string]sim.Time
 
 	// traceBase maps this executor's private modeled timeline onto the
-	// stream's trace timeline: each run of consecutive frames at this point
-	// is rebased so its first frame starts at the stream's trace head (see
-	// Stream.frameDone). Consumer goroutine only.
+	// stream's trace timeline: each run of consecutive frames on this
+	// executor is rebased so its first frame starts at the stream's trace
+	// head (see Stream.frameDone). Consumer goroutine only.
 	traceBase sim.Time
 }
 
@@ -240,14 +240,15 @@ type Stream struct {
 
 	// Trace placement state, confined to the consumer goroutine: the frame
 	// being fused, the furthest span end recorded so far (per-track spans
-	// never start a new run before it), and the operating point of the
-	// previous frame — a change emits the op-switch event and arms
-	// traceRebase, telling frameDone to re-anchor the (per-point) executor
-	// timeline at the trace head.
-	traceFrame  int64
-	traceHead   sim.Time
-	traceLastOp string
-	traceRebase bool
+	// never start a new run before it), and the executor of the previous
+	// frame. A change of its operating point emits the op-switch event; any
+	// change of executor (operating point or effective depth) arms
+	// traceRebase, telling frameDone to re-anchor the new executor's
+	// private timeline at the trace head.
+	traceFrame     int64
+	traceHead      sim.Time
+	traceLastFuser *opFuser
+	traceRebase    bool
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -699,11 +700,12 @@ func (s *Stream) stageEnd(of *opFuser, stg pipeline.Stage, d sim.Time) {
 }
 
 // frameDone places a pipelined frame's station spans onto the stream's
-// trace. Each operating point's executor keeps its own modeled timeline
-// starting at zero, so the stream rebases the first frame of every run of
-// consecutive same-point frames to start at the trace head: spans stay
-// monotone per track across DVFS switches while genuine stage overlap
-// within a run is preserved exactly. Runs on the consumer goroutine.
+// trace. Each executor (one per operating point and effective depth)
+// keeps its own modeled timeline starting at zero, so the stream rebases
+// the first frame of every run of consecutive same-executor frames to
+// start at the trace head: spans stay monotone per track across DVFS
+// switches and depth demotions while genuine stage overlap within a run
+// is preserved exactly. Runs on the consumer goroutine.
 func (s *Stream) frameDone(of *opFuser, spans []pipeline.StageSpan) {
 	if len(spans) == 0 {
 		return
@@ -843,20 +845,25 @@ func (s *Stream) fuseOne(p framePair) {
 	}
 	s.traceFrame = p.seq
 	queueDepth := s.queue.Len() // pairs still waiting behind this one
-	if s.traceLastOp != op.Name {
+	if last := s.traceLastFuser; last == nil || last.op.Name != op.Name {
 		// The switch instant lands on the trace before the new run's spans,
 		// and the PS clock counter tracks the staircase. The first frame's
 		// point is a switch too — from nothing — which keeps the counter
 		// track anchored at t=0.
-		if s.traceLastOp != "" {
+		if last != nil {
 			s.events.Push(obs.EventOpSwitch, p.seq, op.MHz(), op.Name)
 		}
 		s.trace.Instant(p.seq, "dvfs", op.Name, s.traceHead)
 		s.trace.Counter(p.seq, "clock_mhz", s.traceHead, op.MHz())
-		s.traceLastOp = op.Name
-		s.traceRebase = true
 	}
 	of := s.fuserAt(op)
+	if of != s.traceLastFuser {
+		// A new executor starts its timeline at zero and a cached one
+		// resumes where it stopped, so either way the run re-anchors —
+		// after a DVFS switch and after a depth demotion or restore alike.
+		s.traceLastFuser = of
+		s.traceRebase = true
+	}
 	var fused *frame.Frame
 	var st pipeline.StageTimes
 	var err error

@@ -3,14 +3,16 @@ package fusion
 import (
 	"fmt"
 
+	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/wavelet"
 )
 
-// Fused combine+rule+distribute kernels. The complex-band rule path
-// materializes six complex band planes per stream per level (q2c), runs
-// the rule over them, then re-materializes the fused complex planes before
-// distributing back to quad (tree) layout (c2q). The quad kernels below
+// Fused combine+rule+distribute kernels, the one fast rule path of every
+// engine. The complex-band rule path (FuseInto) materializes six complex
+// band planes per stream per level (q2c), runs the rule over them, then
+// re-materializes the fused complex planes before distributing back to
+// quad (tree) layout (c2q). The quad kernels below
 // execute all three per tile: they read the four tree planes of each
 // stream, form the z1/z2 complex pairs as float32 register locals with
 // exactly the q2c expressions, select with exactly the rule expressions,
@@ -21,17 +23,17 @@ import (
 
 const invSqrt2 = wavelet.InvSqrt2
 
-// quadRule is the fused fast path the built-in rules provide: fuse detail
+// quadRule is the fused kernel the built-in rules provide: fuse detail
 // band pair (bi, 5-bi) of one level straight from quad layout to quad
-// layout. Custom rules without it keep the combine/distribute path over
-// complex bands (the tiled forward cascade still applies).
+// layout. Custom rules without it fuse over complex bands (FuseInto,
+// between the combining forward and the distributing inverse).
 type quadRule interface {
 	fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid)
 }
 
-// CanFuseRule reports whether rule has a fused quad kernel, which
-// selects the quad-layout rule path on tile-capable engines: both
-// forwards run wavelet.DTCWT.ForwardQuadInto, FuseQuads fuses and
+// CanFuseRule reports whether rule has a fused quad kernel, which alone
+// selects the quad-layout rule path, whatever engine runs the transforms:
+// both forwards run wavelet.DTCWT.ForwardQuadInto, FuseQuads fuses and
 // InverseFused reconstructs, on either pipeline executor.
 func CanFuseRule(rule Rule) bool {
 	_, ok := rule.(quadRule)
@@ -42,8 +44,8 @@ func CanFuseRule(rule Rule) bool {
 // (tree) layout: per level and band pair one fused combine+rule+distribute
 // kernel, then the averaged lowpass residuals per tree. All three
 // pyramids may be quad-shaped (complex planes elided); dst's tree planes
-// and residuals come out bit-identical to the
-// FuseIntoWorkspace + distribute chain.
+// and residuals come out bit-identical to the combine → FuseInto →
+// distribute chain.
 func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
@@ -76,6 +78,13 @@ func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	return nil
 }
 
+// averageLLWS is the tiled lowpass blend all built-in rules share.
+func averageLLWS(ws *Workspace, dst, a, b *frame.Frame) {
+	n := len(dst.Pix)
+	ws.avgP = avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
+	ws.w.Run(n, kernels.Grain(n, 12, ws.w.N()), &ws.avgP)
+}
+
 // quadPlanes gathers the four tree planes of band bi at level lv in q2c
 // order: p = AA, q = BB, r = AB, s = BA.
 func quadPlanes(p *wavelet.DTPyramid, lv, bi int) (pp, qq, rr, ss []float32) {
@@ -86,7 +95,7 @@ func quadPlanes(p *wavelet.DTPyramid, lv, bi int) (pp, qq, rr, ss []float32) {
 }
 
 func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
-	w := ws.workers()
+	w := ws.w
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.maxQ
 	t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
@@ -96,7 +105,7 @@ func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.D
 }
 
 func (Average) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
-	w := ws.workers()
+	w := ws.w
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.avgQ
 	t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
@@ -106,7 +115,7 @@ func (Average) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyra
 }
 
 func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
-	w := ws.workers()
+	w := ws.w
 	band := a.TreeBand(wavelet.TreeAA, lv, bi)
 	n := len(band.Pix)
 	if we.R <= 0 {
@@ -121,7 +130,7 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	}
 	// Windowed activity reads neighbors, so the four squared-magnitude
 	// maps (z1/z2 of each stream) materialize in scratch — the same two
-	// passes per complex band the complex-band rule runs, fed from quads.
+	// passes per complex band bandActivity runs, fed from quads.
 	activity := func(t *quadMag2Task, mag2S, actS *planeScratch, p *wavelet.DTPyramid) []float32 {
 		t.p, t.q, t.r, t.s = quadPlanes(p, lv, bi)
 		t.dst = mag2S.grow(ws.pool, n)
@@ -148,8 +157,8 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 // maxMagQuadTask fuses one band pair under the max-magnitude rule in a
 // single traversal: q2c both streams into register locals, pick the
 // larger-magnitude coefficient per complex band, c2q the winners back to
-// quad layout. Expression shapes mirror q2cTask / maxMagBandTask /
-// c2qTask exactly.
+// quad layout. Expression shapes mirror q2cTask /
+// MaxMagnitude.FuseBand / c2qTask exactly.
 type maxMagQuadTask struct {
 	pa, qa, ra, sa []float32
 	pb, qb, rb, sb []float32

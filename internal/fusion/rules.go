@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"zynqfusion/internal/frame"
-	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/wavelet"
 )
 
@@ -41,21 +40,14 @@ func Fuse(rule Rule, a, b *wavelet.DTPyramid) (*wavelet.DTPyramid, error) {
 }
 
 // FuseInto combines a and b into dst, a pyramid already shaped for the
-// same geometry (DTCWT.ShapePyramid, or a prior fusion's output). Every
-// fused coefficient — detail bands and lowpass residuals — is written, so
-// dst's prior contents never leak through; this is the zero-copy hot path
-// that replaces the CloneStructure deep copy on every frame. The inputs
-// are not modified, and dst must not alias either of them.
+// same geometry (DTCWT.ShapePyramid with complex bands, or a prior
+// fusion's output), with the rule's own FuseBand/FuseLL. Every fused
+// coefficient — detail bands and lowpass residuals — is written, so dst's
+// prior contents never leak through. The inputs are not modified, and dst
+// must not alias either of them. This is the complex-band rule path:
+// custom rules fuse through it, and it is the reference oracle the quad
+// kernels (FuseQuads) are pinned against.
 func FuseInto(rule Rule, dst, a, b *wavelet.DTPyramid) error {
-	return FuseIntoWorkspace(nil, rule, dst, a, b)
-}
-
-// FuseIntoWorkspace is FuseInto running through a workspace: built-in
-// rules lease their activity scratch from the workspace's pool and tile
-// their per-pixel loops across its worker pool, bit-identically to the
-// plain path. A nil workspace — or a custom Rule — selects the rule's own
-// FuseBand/FuseLL.
-func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
 			a.W, a.H, a.NumLevels(), b.W, b.H, b.NumLevels())
@@ -64,29 +56,20 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 		return fmt.Errorf("%w: destination %dx%d/%d for sources %dx%d/%d", ErrPyramidMismatch,
 			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
 	}
-	fast, _ := rule.(wsRule)
 	for lv := range a.Levels {
 		for bi := range a.Levels[lv].Bands {
 			ba, bb := a.Levels[lv].Bands[bi], b.Levels[lv].Bands[bi]
 			if ba.W != bb.W || ba.H != bb.H {
 				return fmt.Errorf("%w: level %d band %d", ErrPyramidMismatch, lv+1, bi)
 			}
-			if ws != nil && fast != nil {
-				fast.fuseBandWS(ws, dst.Levels[lv].Bands[bi], ba, bb)
-			} else {
-				rule.FuseBand(dst.Levels[lv].Bands[bi], ba, bb)
-			}
+			rule.FuseBand(dst.Levels[lv].Bands[bi], ba, bb)
 		}
 	}
 	for c := range a.LLs {
 		if !a.LLs[c].SameSize(b.LLs[c]) {
 			return fmt.Errorf("%w: lowpass residual %d", ErrPyramidMismatch, c)
 		}
-		if ws != nil && fast != nil {
-			fast.fuseLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
-		} else {
-			rule.FuseLL(dst.LLs[c], a.LLs[c], b.LLs[c])
-		}
+		rule.FuseLL(dst.LLs[c], a.LLs[c], b.LLs[c])
 	}
 	return nil
 }
@@ -119,25 +102,6 @@ func (MaxMagnitude) FuseLL(dst, a, b *frame.Frame) {
 	}
 }
 
-func (MaxMagnitude) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	w := ws.workers()
-	n := len(dst.Re)
-	ws.max = maxMagBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	w.Run(n, kernels.Grain(n, 24, w.N()), &ws.max)
-}
-
-func (MaxMagnitude) fuseLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	averageLLWS(ws, dst, a, b)
-}
-
-// averageLLWS is the shared tiled lowpass blend all built-in rules use.
-func averageLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	w := ws.workers()
-	n := len(dst.Pix)
-	ws.avgP = avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
-	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.avgP)
-}
-
 // Average blends both sources equally everywhere. It is the baseline rule:
 // simple, artifact-free, but it halves feature contrast.
 type Average struct{}
@@ -158,17 +122,6 @@ func (Average) FuseLL(dst, a, b *frame.Frame) {
 	for i := range dst.Pix {
 		dst.Pix[i] = 0.5 * (a.Pix[i] + b.Pix[i])
 	}
-}
-
-func (Average) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	w := ws.workers()
-	n := len(dst.Re)
-	ws.avgB = avgBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	w.Run(n, kernels.Grain(n, 24, w.N()), &ws.avgB)
-}
-
-func (Average) fuseLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	averageLLWS(ws, dst, a, b)
 }
 
 // WindowEnergy selects per coefficient by comparing local activity (the
@@ -199,19 +152,6 @@ func (w WindowEnergy) FuseLL(dst, a, b *frame.Frame) {
 	for i := range dst.Pix {
 		dst.Pix[i] = 0.5 * (a.Pix[i] + b.Pix[i])
 	}
-}
-
-func (w WindowEnergy) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	ea := bandActivityWS(ws, &ws.mag2A, &ws.actA, a, w.R)
-	eb := bandActivityWS(ws, &ws.mag2B, &ws.actB, b, w.R)
-	wk := ws.workers()
-	n := len(dst.Re)
-	ws.sel = selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: ea, eb: eb}
-	wk.Run(n, kernels.Grain(n, 32, wk.N()), &ws.sel)
-}
-
-func (w WindowEnergy) fuseLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	averageLLWS(ws, dst, a, b)
 }
 
 // bandActivity returns the windowed squared-magnitude map of a band.

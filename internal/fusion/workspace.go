@@ -4,40 +4,33 @@ import (
 	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
-	"zynqfusion/internal/wavelet"
 )
 
-// Workspace is the zero-allocation, tiled execution context for the
-// built-in fusion rules. It owns the activity-map scratch WindowEnergy
+// Workspace is the zero-allocation, tiled execution context of the quad
+// rule path (FuseQuads). It owns the activity-map scratch WindowEnergy
 // needs (leased from the frame-store arena when one is attached, so the
-// windowed rule stops allocating two planes per band per frame) and the
-// worker pool the per-pixel rule loops fan out across.
+// windowed rule allocates nothing per band per frame) and the worker pool
+// the per-pixel rule loops fan out across.
 //
-// A nil *Workspace is valid everywhere and selects the legacy sequential
-// path. Rules run through a workspace produce bit-identical coefficients
-// to their plain FuseBand/FuseLL: the per-pixel expressions and their
-// evaluation order per output are unchanged — only the scheduling and the
-// scratch backing store differ. Custom Rule implementations simply fall
-// back to their own methods.
+// The quad kernels produce bit-identical coefficients to the plain
+// FuseBand/FuseLL chain (FuseInto between the combining forward and
+// the distributing inverse): the per-pixel expressions and their
+// evaluation order per output are unchanged — only the layout, the
+// scheduling and the scratch backing store differ.
 //
 // A Workspace is not safe for concurrent use; it belongs to one fuser.
 type Workspace struct {
 	pool *bufpool.Pool
 	w    *kernels.Workers
 
-	mag2A, mag2B, actA, actB planeScratch
-	// The fused quad path of WindowEnergy holds z1 and z2 activity alive
-	// at once (the complex-band path processes the bands one at a
-	// time), so it needs a second scratch bank.
+	// WindowEnergy holds the z1 and z2 activity of both streams alive at
+	// once, so it needs two scratch banks.
+	mag2A, mag2B, actA, actB     planeScratch
 	mag2A2, mag2B2, actA2, actB2 planeScratch
 
 	// Reusable task boxes: pointer-through-interface keeps dispatch at
 	// zero allocations per frame.
-	max  maxMagBandTask
-	avgB avgBandTask
 	avgP avgPixTask
-	sel  selBandTask
-	mag  mag2Task
 	win  winSumTask
 	maxQ maxMagQuadTask
 	avgQ avgQuadTask
@@ -55,9 +48,6 @@ func NewWorkspace(pool *bufpool.Pool, w *kernels.Workers) *Workspace {
 // Release returns the workspace's scratch leases. The workspace stays
 // usable; scratch is re-acquired on the next fusion.
 func (ws *Workspace) Release() {
-	if ws == nil {
-		return
-	}
 	ws.mag2A.release()
 	ws.mag2B.release()
 	ws.actA.release()
@@ -66,14 +56,6 @@ func (ws *Workspace) Release() {
 	ws.mag2B2.release()
 	ws.actA2.release()
 	ws.actB2.release()
-}
-
-// workers is nil-receiver-safe so rule code can dispatch unconditionally.
-func (ws *Workspace) workers() *kernels.Workers {
-	if ws == nil {
-		return nil
-	}
-	return ws.w
 }
 
 // planeScratch is one reusable activity plane, pool-leased when possible.
@@ -112,58 +94,7 @@ func (s *planeScratch) release() {
 	s.buf = nil
 }
 
-// wsRule is the workspace-aware fast path the built-in rules provide.
-type wsRule interface {
-	fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand)
-	fuseLLWS(ws *Workspace, dst, a, b *frame.Frame)
-}
-
-// bandActivityWS is bandActivity with pooled scratch and tiled dispatch:
-// the pointwise squared-magnitude map, then (for r > 0) the windowed sum,
-// each output accumulated in the same order as the sequential code.
-func bandActivityWS(ws *Workspace, mag2S, actS *planeScratch, b *wavelet.ComplexBand, r int) []float32 {
-	n := len(b.Re)
-	w := ws.workers()
-	mag2 := mag2S.grow(ws.pool, n)
-	ws.mag = mag2Task{dst: mag2, re: b.Re, im: b.Im}
-	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.mag)
-	if r <= 0 {
-		return mag2
-	}
-	out := actS.grow(ws.pool, n)
-	ws.win = winSumTask{dst: out, mag2: mag2, w: b.W, h: b.H, r: r}
-	w.Run(b.H, kernels.Grain(b.H, 8*b.W, w.N()), &ws.win)
-	return out
-}
-
-// Tile tasks mirroring the rule loops expression for expression.
-
-type maxMagBandTask struct {
-	dstRe, dstIm, aRe, aIm, bRe, bIm []float32
-}
-
-func (t *maxMagBandTask) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		ma := t.aRe[i]*t.aRe[i] + t.aIm[i]*t.aIm[i]
-		mb := t.bRe[i]*t.bRe[i] + t.bIm[i]*t.bIm[i]
-		if ma >= mb {
-			t.dstRe[i], t.dstIm[i] = t.aRe[i], t.aIm[i]
-		} else {
-			t.dstRe[i], t.dstIm[i] = t.bRe[i], t.bIm[i]
-		}
-	}
-}
-
-type avgBandTask struct {
-	dstRe, dstIm, aRe, aIm, bRe, bIm []float32
-}
-
-func (t *avgBandTask) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		t.dstRe[i] = 0.5 * (t.aRe[i] + t.bRe[i])
-		t.dstIm[i] = 0.5 * (t.aIm[i] + t.bIm[i])
-	}
-}
+// Tile tasks of the lowpass blend and the windowed activity sum.
 
 type avgPixTask struct {
 	dst, a, b []float32
@@ -172,30 +103,6 @@ type avgPixTask struct {
 func (t *avgPixTask) Tile(lo, hi, _ int) {
 	for i := lo; i < hi; i++ {
 		t.dst[i] = 0.5 * (t.a[i] + t.b[i])
-	}
-}
-
-type selBandTask struct {
-	dstRe, dstIm, aRe, aIm, bRe, bIm, ea, eb []float32
-}
-
-func (t *selBandTask) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		if t.ea[i] >= t.eb[i] {
-			t.dstRe[i], t.dstIm[i] = t.aRe[i], t.aIm[i]
-		} else {
-			t.dstRe[i], t.dstIm[i] = t.bRe[i], t.bIm[i]
-		}
-	}
-}
-
-type mag2Task struct {
-	dst, re, im []float32
-}
-
-func (t *mag2Task) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		t.dst[i] = t.re[i]*t.re[i] + t.im[i]*t.im[i]
 	}
 }
 

@@ -75,9 +75,9 @@ func assertSameLedger(t testing.TB, label string, ref, fast engine.Engine) {
 // TestFusedEquivalence pins the fast path's determinism contract: on
 // every tile-capable engine, pixels, the full StageTimes (including
 // energy) and the NEON ledger are bit-identical to the sequential
-// reference loops, for every built-in rule, a custom rule (no quad
-// kernel), even and odd geometry, frames far below a kilopixel, and
-// worker counts 1, 2 and 4.
+// reference loops running the complex-band rule chain (refRule), for
+// every built-in rule, a custom rule (no quad kernel), even and odd
+// geometry, frames far below a kilopixel, and worker counts 1, 2 and 4.
 func TestFusedEquivalence(t *testing.T) {
 	// Real parallelism for the multi-worker rows, whatever the host core
 	// count: worker pools cap at GOMAXPROCS.
@@ -112,8 +112,10 @@ func TestFusedEquivalence(t *testing.T) {
 			for _, pair := range pairs {
 				levels := min(3, wavelet.MaxLevels(pair.vis.W, pair.vis.H))
 				base := Config{Levels: levels, Rule: rule, IncludeIO: true, KernelWorkers: 1}
+				refCfg := base
+				refCfg.Rule = refRule(rule)
 				refEng := eng.ref()
-				refRec, refSt := fusePair(t, refEng, base, pair.vis, pair.ir)
+				refRec, refSt := fusePair(t, refEng, refCfg, pair.vis, pair.ir)
 				for _, workers := range []int{1, 2, 4} {
 					label := fmt.Sprintf("%s/%s/%s/w%d", eng.name, name, pair.tag, workers)
 					cfg := base
@@ -128,6 +130,17 @@ func TestFusedEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refRule wraps rule (nil selects the default max-magnitude) so that it
+// has no quad kernel: the embedding promotes only the Rule methods, so a
+// reference fuser runs the complex-band chain — combining forward,
+// FuseInto, distributing inverse — whatever its engine.
+func refRule(rule fusion.Rule) fusion.Rule {
+	if rule == nil {
+		rule = fusion.MaxMagnitude{}
+	}
+	return struct{ fusion.Rule }{rule}
 }
 
 // customRule has no fused quad kernel, so it runs combine, the rule over
@@ -150,20 +163,24 @@ func (customRule) FuseLL(dst, a, b *frame.Frame) {
 // TestPipelinedFastMatchesReference: the pipelined executor's stations
 // run the tiled forward on a fast engine, in quad layout for rules with a
 // quad kernel and in complex-band layout for a custom rule. At depth 2
-// its pixels must match the sequential executor on the reference loops,
-// and its StageTimes, per-station spans and NEON ledger must match the
-// same pipelined schedule on the reference loops, frame after frame.
+// its pixels must match the sequential executor on the reference chain
+// (reference loops, complex-band rule), and its StageTimes, per-station
+// spans and NEON ledger must match the same pipelined schedule on the
+// reference chain, frame after frame.
 func TestPipelinedFastMatchesReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sc := camera.NewScene(97, 71, 11)
 	vis, ir := sc.Visible(), sc.Thermal()
 	for _, rule := range []fusion.Rule{nil, fusion.Average{}, customRule{}} {
 		cfg := Config{Levels: 3, Rule: rule, IncludeIO: true, KernelWorkers: 1}
-		want, _ := fusePair(t, engine.NewNEONEmulated(false), cfg, vis, ir)
+		refCfg := cfg
+		refCfg.Rule = refRule(rule)
+		want, _ := fusePair(t, engine.NewNEONEmulated(false), refCfg, vis, ir)
 		for _, workers := range []int{1, 2, 4} {
 			cfg.KernelWorkers = workers
+			refCfg.KernelWorkers = workers
 			refEng, fastEng := engine.NewNEONEmulated(false), engine.NewNEON(false)
-			refPP, err := NewPipelined(New(refEng, cfg), 2)
+			refPP, err := NewPipelined(New(refEng, refCfg), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,8 +188,8 @@ func TestPipelinedFastMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fastPP.Fuser().quad != fusion.CanFuseRule(fastPP.Config().Rule) {
-				t.Fatalf("%s: fast engine quad path %v", fastPP.Config().Rule.Name(), fastPP.Fuser().quad)
+			if fastPP.Fuser().quad != fusion.CanFuseRule(fastPP.Config().Rule) || refPP.Fuser().quad {
+				t.Fatalf("%s: quad path fast %v, reference %v", fastPP.Config().Rule.Name(), fastPP.Fuser().quad, refPP.Fuser().quad)
 			}
 			var refSpans, gotSpans []sim.Time
 			refPP.SetHooks(Hooks{StageEnd: func(_ Stage, _ int64, d sim.Time) { refSpans = append(refSpans, d) }})
@@ -262,10 +279,11 @@ func TestFusedPoolCapSweep(t *testing.T) {
 }
 
 // FuzzFusedEquivalence fuzzes the fast path against the sequential
-// reference over geometry, depth, engine, worker count and scene
-// content: pixels, StageTimes and the NEON ledger must be bit-identical.
-// The emulated NEON engine, which has no tile kernels, is fuzzed against
-// itself across worker counts.
+// reference chain (reference loops, complex-band rule) over geometry,
+// depth, engine, worker count and scene content: pixels, StageTimes and
+// the NEON ledger must be bit-identical. The emulated NEON engine, which
+// has no tile kernels, is fuzzed on the quad rule path against itself on
+// the reference chain, across worker counts.
 func FuzzFusedEquivalence(f *testing.F) {
 	// (w, h, levels, engine selector, workers, seed)
 	f.Add(uint8(32), uint8(24), uint8(1), uint8(1), uint8(1), int64(1))
@@ -297,10 +315,8 @@ func FuzzFusedEquivalence(f *testing.F) {
 		sc := camera.NewScene(W, H, seed)
 		vis, ir := sc.Visible(), sc.Thermal()
 
-		base := Config{Levels: lv, IncludeIO: true, KernelWorkers: 1}
-		refRec, refSt := fusePair(t, ref, base, vis, ir)
-		cfg := base
-		cfg.KernelWorkers = wk
+		refRec, refSt := fusePair(t, ref, Config{Levels: lv, Rule: refRule(nil), IncludeIO: true, KernelWorkers: 1}, vis, ir)
+		cfg := Config{Levels: lv, IncludeIO: true, KernelWorkers: wk}
 		gotRec, gotSt := fusePair(t, fast, cfg, vis, ir)
 		label := fmt.Sprintf("%dx%d lv=%d eng=%d w=%d", W, H, lv, engSel%3, wk)
 		assertIdentical(t, label, refRec, gotRec, refSt, gotSt)

@@ -143,9 +143,9 @@ type Fuser struct {
 	// transform frame stores: the two source pyramids and the fused one.
 	pa, pb, fused *wavelet.DTPyramid
 
-	// quad selects the quad rule path: the engine runs the tiled forward
-	// and the rule has a quad kernel, so combine, rule and distribute
-	// execute in quad (tree) layout.
+	// quad selects the quad rule path: the rule has a quad kernel, so
+	// combine, rule and distribute execute in quad (tree) layout on every
+	// engine. Custom rules run the complex-band chain.
 	quad bool
 
 	// stages are the station bodies both executors run (stageGraph), and
@@ -175,7 +175,7 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 		pa:      &wavelet.DTPyramid{},
 		pb:      &wavelet.DTPyramid{},
 		fused:   &wavelet.DTPyramid{},
-		quad:    x.TileCapable() && fusion.CanFuseRule(cfg.Rule),
+		quad:    fusion.CanFuseRule(cfg.Rule),
 		stages:  stageGraph(cfg.IncludeIO),
 	}
 }

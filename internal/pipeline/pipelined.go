@@ -63,12 +63,14 @@ type frameJob struct {
 // frame store in the paper's hardware — so no single station carries half
 // the frame time. The sequential Fuser.FuseFrames runs the same bodies.
 //
-// Tile-capable engines with a quad-kernel rule (Fuser.quad) run the quad
-// path: each forward writes tree planes only, the rule fuses in quad
-// layout and the inverse reads the trees straight back. Every body
-// replays the reference loops' modeled charges in reference order, so the
-// q2c combine keeps its Forward attribution and the c2q distribute its
-// Inverse attribution even when the quad rule absorbs their compute.
+// A rule with a quad kernel (Fuser.quad) runs the quad path on every
+// engine: each forward writes tree planes only, the rule fuses in quad
+// layout and the inverse reads the trees straight back. A custom rule
+// runs the complex-band chain — combining forward, FuseInto, distributing
+// inverse. Both paths issue the reference loops' modeled charges in
+// reference order, so the q2c combine keeps its Forward attribution and
+// the c2q distribute its Inverse attribution even when the quad rule
+// absorbs their compute.
 func stageGraph(includeIO bool) []Stage {
 	var st []Stage
 	if includeIO {
@@ -92,7 +94,7 @@ func stageGraph(includeIO bool) []Stage {
 			if f.quad {
 				err = fusion.FuseQuads(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
 			} else {
-				err = fusion.FuseIntoWorkspace(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
+				err = fusion.FuseInto(f.cfg.Rule, f.fused, f.pa, f.pb)
 			}
 			if err != nil {
 				return err
@@ -187,13 +189,6 @@ type StageSpan struct {
 	// never overlap across frames, and within a frame stations run in
 	// graph order.
 	Start, End sim.Time
-}
-
-// stageAware mirrors sched.StageAware structurally (pipeline does not
-// import sched): engines that schedule per stage are notified before each
-// station runs.
-type stageAware interface {
-	BeginStage(stage string, frame int64)
 }
 
 // StageOccupancy is one station's share of the pipeline's cumulative
@@ -377,13 +372,10 @@ func (p *PipelinedFuser) discardPending() {
 	}
 }
 
-// runStage executes one station: announce the boundary to a stage-aware
-// engine, bracket with the hooks, run, charge the buffer handoff (every
-// boundary but the last), and drain the station's span and energy.
+// runStage executes one station: bracket with the hooks, run, charge the
+// buffer handoff (every boundary but the last), and drain the station's
+// span and energy.
 func (p *PipelinedFuser) runStage(s Stage, job *frameJob, last bool) (sim.Time, sim.Joules, error) {
-	if sa, ok := p.f.eng.(stageAware); ok {
-		sa.BeginStage(s.Name, p.seq)
-	}
 	if p.hooks.StageStart != nil {
 		p.hooks.StageStart(s, p.seq)
 	}

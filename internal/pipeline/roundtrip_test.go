@@ -15,7 +15,11 @@ import (
 // over the same frame pair, and requires bit-for-bit identical
 // reconstructions — on both the NEON and FPGA engines, at the nominal
 // 533 MHz point and the 667 MHz overdrive point. The operating point may
-// move every modeled time; it must never move a pixel.
+// move every modeled time; it must never move a pixel. The staged times
+// must equal FuseFrames' Forward and Inverse stages bit for bit: the
+// staged API runs the complex-band chain and FuseFrames the quad rule
+// path, which must issue the same charges, and FuseFrames must drain its
+// two forward stations once, together, as ForwardOnly does.
 func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 	sc := camera.NewScene(64, 48, 11)
 	vis, ir := sc.Visible(), sc.Thermal()
@@ -34,7 +38,7 @@ func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 				cfg := Config{Levels: 3}
 
 				oneShot := New(build(op), cfg)
-				want, _, err := oneShot.FuseFrames(vis, ir)
+				want, wantSt, err := oneShot.FuseFrames(vis, ir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,6 +51,9 @@ func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 				if fwdT <= 0 {
 					t.Error("forward stage reported no time")
 				}
+				if fwdT != wantSt.Forward {
+					t.Errorf("ForwardOnly time %d ps, FuseFrames Forward %d ps", fwdT, wantSt.Forward)
+				}
 				fused, err := fusion.Fuse(staged.Config().Rule, pa, pb)
 				if err != nil {
 					t.Fatal(err)
@@ -57,6 +64,9 @@ func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 				}
 				if invT <= 0 {
 					t.Error("inverse stage reported no time")
+				}
+				if invT != wantSt.Inverse {
+					t.Errorf("InverseOnly time %d ps, FuseFrames Inverse %d ps", invT, wantSt.Inverse)
 				}
 
 				if !got.SameSize(want) {

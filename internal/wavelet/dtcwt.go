@@ -53,11 +53,6 @@ type ComplexBand struct {
 	re, im *frame.Frame // backing leases; nil for plainly allocated bands
 }
 
-// NewComplexBand allocates a zeroed w x h complex band.
-func NewComplexBand(w, h int) *ComplexBand {
-	return &ComplexBand{W: w, H: h, Re: make([]float32, w*h), Im: make([]float32, w*h)}
-}
-
 // newComplexBandPooled leases the band's two planes from pool.
 func newComplexBandPooled(w, h int, pool *bufpool.Pool) (*ComplexBand, error) {
 	re, err := pool.Get(w, h)
@@ -167,7 +162,7 @@ func (p *DTPyramid) shaped(w, h, levels int, complexBands bool) bool {
 // CloneStructure deep-copies the pyramid (bands, residuals and the
 // per-tree bookkeeping needed for inversion) into plain storage. Fusion
 // rules write into a clone so the source pyramids stay usable; the pooled
-// hot path avoids the copy entirely with FuseInto over a shaped workspace.
+// hot path avoids the copy entirely by fusing into a shaped workspace.
 func (p *DTPyramid) CloneStructure() *DTPyramid {
 	n := &DTPyramid{W: p.W, H: p.H, Levels: make([]DTLevel, len(p.Levels))}
 	for lv := range p.Levels {
